@@ -134,17 +134,20 @@ def load_config(path: str, kind_override: str | None = None,
                 seed_override: int | None = None) -> ExperimentConfig:
     """Parse and validate a config file (or 'preset:<name>')."""
     parser = configparser.ConfigParser(interpolation=None)
-    if path.startswith("preset:"):
-        name = path[len("preset:"):]
-        ref = resources.files("quelab").joinpath("presets", name + ".cfg")
-        try:
-            text = ref.read_text()
-        except FileNotFoundError:
-            raise ConfigError(f"no bundled preset named {name!r}") from None
-        parser.read_string(text)
-    else:
-        if not parser.read(path):
+    try:
+        if path.startswith("preset:"):
+            name = path[len("preset:"):]
+            ref = resources.files("quelab").joinpath("presets", name + ".cfg")
+            try:
+                text = ref.read_text()
+            except FileNotFoundError:
+                raise ConfigError(f"no bundled preset named {name!r}") from None
+            parser.read_string(text)
+        elif not parser.read(path):
             raise ConfigError(f"cannot read config file {path!r}")
+    except configparser.Error as exc:
+        # duplicate keys, a missing section header, ...; keep it to one line
+        raise ConfigError("malformed config: " + " ".join(str(exc).split())) from exc
 
     for sec in parser.sections():
         if sec not in _ALLOWED_KEYS:
@@ -172,6 +175,9 @@ def load_config(path: str, kind_override: str | None = None,
         _get(grid, "t_stop", float, required=True),
         _get(grid, "t_step", float, required=True),
     )
+    for key, value in zip(("t_start", "t_stop", "t_step"), t_grid):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     if t_grid[2] <= 0.0:
         raise ConfigError("t_step must be positive")
 
@@ -219,7 +225,7 @@ def load_config(path: str, kind_override: str | None = None,
         for key, conv in (("truncation", int), ("norm_cap", int),
                           ("abs_tol", float), ("height_floor", float)):
             if key in ev:
-                pairs.append((key, conv(ev[key])))
+                pairs.append((key, _get(ev, key, conv)))
         overrides = tuple(pairs)
 
     if kind == "omega_scan" and surface != "h2":
@@ -233,6 +239,12 @@ def load_config(path: str, kind_override: str | None = None,
     method = _get(exp, "method", str, default="quadrature")
     if method not in ("quadrature", "monte_carlo"):
         raise ConfigError("method must be quadrature or monte_carlo")
+    order = _get(exp, "order", int, default=24)
+    if order < 2:
+        raise ConfigError("order must be >= 2")
+    mc_count = _get(exp, "mc_count", int, default=4096)
+    if method == "monte_carlo" and mc_count < 1000:
+        raise ConfigError("monte_carlo needs mc_count >= 1000")
     moment_k = _get(exp, "moment_k", int, default=2)
     if moment_k not in (2, 6):
         raise ConfigError("moment_k must be 2 or 6")
@@ -249,9 +261,9 @@ def load_config(path: str, kind_override: str | None = None,
         radius_value=rvalue,
         center=center,
         seed=seed,
-        order=_get(exp, "order", int, default=24),
+        order=order,
         method=method,
-        mc_count=_get(exp, "mc_count", int, default=4096),
+        mc_count=mc_count,
         moment_k=moment_k,
         kernel_dim=_get(exp, "kernel_dim", int, default=3),
         variance_step=variance_step,

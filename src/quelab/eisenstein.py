@@ -24,6 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -87,6 +88,15 @@ def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
     vertical contours, where they decay at least like e^{-x u / 2}.  The
     sec factor carries the entire e^{-pi|Im nu|/2} smallness, so the returned
     values are free of exponential cancellation.
+
+    The error is absolute: about 1e-15 on the scaled values, up to about
+    1e-14 when the batch spans one to two decades in x.  Past the
+    turning point x = |Im nu| the scaled K decays like e^{-x}, so the
+    relative error there grows without bound: at |Im nu| = 8, x = 60 the
+    value is 2.4e-22 and the error 4e-17 to 8e-16, depending on the other
+    arguments of the batch.  The Fourier series only needs the absolute
+    error: on the critical line the scaled K multiplies coefficients of
+    modulus O(n^eps).
     """
     nu = complex(nu)
     if nu.imag < 0.0:
@@ -106,7 +116,10 @@ def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
     total_phase = x_max * v0 + tau * math.asinh(v0)
     if total_phase > 60000.0:
         raise ValueError("argument range too wide for the balanced K route")
-    panels = int(total_phase / 8.0) + 2  # <= 1.3 cycles per 24-point panel
+    # <= 1.3 cycles per 24-point panel on average; the phase rate peaks at
+    # x + tau near v = 0, which a batch with x_max well below tau would
+    # otherwise under-resolve (2e-10 absolute at tau = 60, x = pi)
+    panels = int(max(total_phase, 0.5 * (tau + x_max) * v0) / 8.0) + 2
     v, wv = panel_nodes(0.0, v0, panels, 24)
     lw = np.arcsinh(v)
     g = 0.5 * (np.exp(nu * lw) + np.exp(-nu * lw)) / np.sqrt(1.0 + v * v)
@@ -142,8 +155,87 @@ def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
     return sec_scaled * vals
 
 
-def _use_balanced(nu: complex) -> bool:
-    return abs(nu.imag) >= _IMAG_ORDER_SWITCH and abs(nu.real) < 1.0
+def _k_shift(nu: complex) -> float:
+    """Exponent of the scale e^{shift} that `_k_scaled` puts on K_nu.
+
+    pi |Im nu| / 2 on the balanced route (|Im nu| >= 8, |Re nu| < 1), else 0.
+    """
+    if abs(nu.imag) >= _IMAG_ORDER_SWITCH and abs(nu.real) < 1.0:
+        return 0.5 * math.pi * abs(nu.imag)
+    return 0.0
+
+
+def _k_scaled(nu: complex, xs: np.ndarray, table: _KTable | None = None) -> np.ndarray:
+    """e^{_k_shift(nu)} K_nu(x) for an array of x > 0.
+
+    The balanced route reads `table` when one is given and calls
+    `_k_scaled_batch` otherwise; every other order takes the cosh integral.
+    """
+    if _k_shift(nu):
+        return _k_scaled_batch(nu, xs) if table is None else table(xs)
+    return bessel_K_many(nu, xs, DEFAULT_POLICY)
+
+
+# Chebyshev table for one balanced-route order: panel j covers
+# [2^(j/4), 2^((j+1)/4)] and interpolates at the 24 first-kind Chebyshev
+# points; the two check points are extrema of T_24, where the interpolation
+# error peaks, each lying between two nodes.
+_CHEB_N = 24
+_CHEB_TOL = 1e-14  # absolute, on the scaled K
+_CHEB_THETA = (np.arange(_CHEB_N) + 0.5) * (math.pi / _CHEB_N)
+_CHEB_POINTS = np.cos(np.concatenate([_CHEB_THETA, np.array([5.0, 19.0]) * (math.pi / _CHEB_N)]))
+_CHEB_FIT = (2.0 / _CHEB_N) * np.cos(np.outer(np.arange(_CHEB_N), _CHEB_THETA))
+_CHEB_FIT[0] *= 0.5
+
+
+def _panel_geometry(js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.exp2(0.25 * js)
+    hi = np.exp2(0.25 * (js + 1))
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _cheb_eval(u: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[i, k] T_k(u[i]) for each i, elementwise in i."""
+    return (np.cos(np.outer(np.arccos(u), np.arange(_CHEB_N))) * coef).sum(axis=1)
+
+
+class _KTable:
+    """Balanced-route scaled K_nu at one order, from a piecewise-Chebyshev table.
+
+    Panels are filled on first use, each by one `_k_scaled_batch` call at its
+    24 nodes and 2 check points.  A panel whose check points miss the direct
+    values by more than 1e-14 absolute is served by `_k_scaled_batch` on the
+    arguments that fall in it.  Coefficients depend only on (nu, j), so a
+    value never depends on which arguments were asked for first.
+    """
+
+    def __init__(self, nu: complex) -> None:
+        self.nu = nu
+        self._panels: dict[int, np.ndarray | None] = {}
+
+    def _fill(self, j: int) -> np.ndarray | None:
+        mid, half = _panel_geometry(np.array([j]))
+        vals = _k_scaled_batch(self.nu, mid + half * _CHEB_POINTS)
+        coef = (_CHEB_FIT * vals[:_CHEB_N]).sum(axis=1)
+        check = _cheb_eval(_CHEB_POINTS[_CHEB_N:], coef[None, :])
+        self._panels[j] = coef if np.all(np.abs(check - vals[_CHEB_N:]) <= _CHEB_TOL) else None
+        return self._panels[j]
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        js, inverse = np.unique(np.floor(4.0 * np.log2(xs)).astype(np.int64),
+                                return_inverse=True)
+        rows = [self._panels[j] if j in self._panels else self._fill(j) for j in js.tolist()]
+        direct = np.array([row is None for row in rows])[inverse]
+        coef = np.stack([np.zeros(_CHEB_N, dtype=complex) if row is None else row
+                         for row in rows])
+        mid, half = _panel_geometry(js)
+        # rounding in log2 can put x a hair outside its panel
+        u = np.clip((xs - mid[inverse]) / half[inverse], -1.0, 1.0)
+        out = _cheb_eval(u, coef[inverse])
+        if direct.any():
+            out[direct] = _k_scaled_batch(self.nu, xs[direct])
+        return out
 
 
 # ----------------------------------------------------------------------------
@@ -239,35 +331,51 @@ class EisensteinH2:
         noise = 2e-13 * (1.0 + abs(t)) * max(n, 1)
         return analytic + noise
 
+    def plan(self, s: complex) -> Callable[[PointH2 | complex], complex]:
+        """z -> E(z, s) at one s, for evaluating many points.
+
+        The prefactor, constant term, scattering coefficient and divisor
+        coefficients are computed once.  On the balanced K route the plan
+        reads K from its own Chebyshev table (`_KTable`), within 1e-14
+        absolute of `_k_scaled_batch` in the scaled K.
+        """
+        return self._plan(complex(s), tabulate=True)
+
     def value(self, z: PointH2 | complex, s: complex) -> complex:
-        s = complex(s)
+        """E(z, s) at one point, with K straight from the direct route."""
+        return self._plan(complex(s), tabulate=False)(z)
+
+    def _plan(self, s: complex, tabulate: bool) -> Callable[[PointH2 | complex], complex]:
         _h2_guard(s)
         be = self.backend or default_backend()
-        zc = z.as_complex if isinstance(z, PointH2) else complex(z)
-        zc = _reduce_h2(zc)
-        x, y = zc.real, zc.imag
-        if y < self.height_floor - 1e-12:
-            raise ValueError("reduced point sits below the height floor")
-        logy = math.log(y)
-        const = cmath.exp(s * logy) + _phi_h2(s, be) * cmath.exp((1.0 - s) * logy)
-
+        phi = _phi_h2(s, be)
         nu = s - 0.5
-        n_terms = self.terms_for(y, s.imag)
-        ns = np.arange(1, n_terms + 1, dtype=float)
-        xvals = 2.0 * math.pi * ns * y
-        if _use_balanced(nu):
-            kvals = _k_scaled_batch(nu, xvals)
-            shift = 0.5 * math.pi * abs(nu.imag)
-        else:
-            kvals = bessel_K_many(nu, xvals, DEFAULT_POLICY)
-            shift = 0.0
-        pref = (4.0 * math.sqrt(y)
-                * cmath.exp(s * math.log(math.pi) - log_gamma(s) - shift)
-                / be.zeta(2.0 * s))
-        sig = np.array([_int_divisor_power(int(n), 1.0 - 2.0 * s) for n in range(1, n_terms + 1)])
-        npow = np.exp(nu * np.log(ns))
-        series = pref * complex(np.sum(npow * sig * kvals * np.cos(2.0 * math.pi * ns * x)))
-        return const + series
+        growth = cmath.exp(s * math.log(math.pi) - log_gamma(s) - _k_shift(nu))
+        zeta_2s = be.zeta(2.0 * s)
+        table = _KTable(nu) if tabulate else None
+        coeffs: dict[int, np.ndarray] = {}  # n_terms -> n^nu sigma_{1-2s}(n), n <= n_terms
+
+        def at(z: PointH2 | complex) -> complex:
+            zc = _reduce_h2(z.as_complex if isinstance(z, PointH2) else complex(z))
+            x, y = zc.real, zc.imag
+            if y < self.height_floor - 1e-12:
+                raise ValueError("reduced point sits below the height floor")
+            logy = math.log(y)
+            const = cmath.exp(s * logy) + phi * cmath.exp((1.0 - s) * logy)
+
+            n_terms = self.terms_for(y, s.imag)
+            ns = np.arange(1, n_terms + 1, dtype=float)
+            coef = coeffs.get(n_terms)
+            if coef is None:
+                sig = np.array([_int_divisor_power(n, 1.0 - 2.0 * s)
+                                for n in range(1, n_terms + 1)])
+                coef = coeffs[n_terms] = np.exp(nu * np.log(ns)) * sig
+            kvals = _k_scaled(nu, 2.0 * math.pi * ns * y, table)
+            pref = 4.0 * math.sqrt(y) * growth / zeta_2s
+            series = pref * complex(np.sum(coef * kvals * np.cos(2.0 * math.pi * ns * x)))
+            return const + series
+
+        return at
 
 
 def eis_h2(z: PointH2 | complex, s: complex, evaluator: EisensteinH2 | None = None) -> complex:
@@ -403,44 +511,55 @@ class EisensteinH3:
         noise = 2e-13 * (1.0 + abs(tau)) * max(cap, 1)
         return analytic + noise
 
+    def plan(self, S: complex) -> Callable[[PointH3], complex]:
+        """P -> E(P, S) at one S, for evaluating many points.
+
+        The prefactor, zeta_K(1+s) and phi_K(s) are computed once.  On the
+        balanced K route the plan reads K from its own Chebyshev table
+        (`_KTable`), within 1e-14 absolute of `_k_scaled_batch` in the
+        scaled K.
+        """
+        return self._plan(complex(S), tabulate=True)
+
     def value(self, P: PointH3, S: complex) -> complex:
-        S = complex(S)
+        """E(P, S) at one point, with K straight from the direct route."""
+        return self._plan(complex(S), tabulate=False)(P)
+
+    def _plan(self, S: complex, tabulate: bool) -> Callable[[PointH3], complex]:
         if abs(S - 2.0) < 1e-12:
             raise ValueError("pole of the series at S = 2")
         if abs(S - 1.0) < 1e-12 or abs(S) < 1e-12:
             raise ValueError("scattering-term pole line; S = 0, 1 unsupported")
-        be = self.backend or default_backend()
-        P = _reduce_h3(self.field, P)
-        z, r = complex(P.z), float(P.r)
-        if r < self.height_floor - 1e-12:
-            raise ValueError("reduced point sits below the height floor "
-                             "(flip-translate reduction is incomplete for this ring)")
         s = S - 1.0
         dk = abs(self.field.discriminant)
-        logr = math.log(r)
-        const = cmath.exp((1.0 + s) * logr) + (scattering_phi_K(self.field, s)
-                                               * cmath.exp((1.0 - s) * logr))
-
-        cap = self.cap_for(r, s.imag)
-        zvals, coeff, uniq_mod, inverse = _h3_term_table(
-            self.field, (s.real, s.imag), cap)
-        xvals = 4.0 * math.pi * uniq_mod * r / math.sqrt(dk)
-        if _use_balanced(s):
-            kvals = _k_scaled_batch(s, xvals)
-            shift = 0.5 * math.pi * abs(s.imag)
-        else:
-            kvals = bessel_K_many(s, xvals, DEFAULT_POLICY)
-            shift = 0.0
+        phi = scattering_phi_K(self.field, s)
         pref = 2.0 * cmath.exp((1.0 + s) * math.log(2.0 * math.pi)
                                - 0.5 * (1.0 + s) * math.log(dk)
-                               - log_gamma(1.0 + s) - shift)
+                               - log_gamma(1.0 + s) - _k_shift(s))
         pref = pref / dedekind_zeta(self.field, 1.0 + s)
-        theta = (-4.0 * math.pi / math.sqrt(dk)) * (zvals.real * z.imag + zvals.imag * z.real)
-        series = pref * r * complex(np.sum(coeff * kvals[inverse] * np.exp(1j * theta)))
-        out = const + series
-        if self.normalization == "E":
-            out = out * (self.field.unit_count / 2.0)
-        return out
+        table = _KTable(s) if tabulate else None
+
+        def at(P: PointH3) -> complex:
+            P = _reduce_h3(self.field, P)
+            z, r = complex(P.z), float(P.r)
+            if r < self.height_floor - 1e-12:
+                raise ValueError("reduced point sits below the height floor "
+                                 "(flip-translate reduction is incomplete for this ring)")
+            logr = math.log(r)
+            const = cmath.exp((1.0 + s) * logr) + phi * cmath.exp((1.0 - s) * logr)
+
+            cap = self.cap_for(r, s.imag)
+            zvals, coeff, uniq_mod, inverse = _h3_term_table(
+                self.field, (s.real, s.imag), cap)
+            kvals = _k_scaled(s, 4.0 * math.pi * uniq_mod * r / math.sqrt(dk), table)
+            theta = (-4.0 * math.pi / math.sqrt(dk)) * (zvals.real * z.imag + zvals.imag * z.real)
+            series = pref * r * complex(np.sum(coeff * kvals[inverse] * np.exp(1j * theta)))
+            out = const + series
+            if self.normalization == "E":
+                out = out * (self.field.unit_count / 2.0)
+            return out
+
+        return at
 
 
 def eis_h3(P: PointH3, S: complex, evaluator: EisensteinH3) -> complex:

@@ -86,9 +86,9 @@ def ball_mass(dim: int, ball: GeodesicBall, t: float, evaluator,
               mc_count: int = 4096, seed: int = 0) -> MassResult:
     """Mass of |E|^2 over a geodesic ball, raw and normalized.
 
-    `evaluator.value(point, s)` supplies the series; s is built from t on the
-    critical line of the surface.  Monte Carlo draws are deterministic in
-    `seed` and merged by pairwise summation.
+    `evaluator.plan(s)` supplies the series at every point; s is built from
+    t on the critical line of the surface.  Monte Carlo draws are
+    deterministic in `seed` and merged by pairwise summation.
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
@@ -98,18 +98,18 @@ def ball_mass(dim: int, ball: GeodesicBall, t: float, evaluator,
         raise ValueError("t must be >= 2")
     if method not in ("quadrature", "monte_carlo"):
         raise ValueError("method must be 'quadrature' or 'monte_carlo'")
+    if method == "monte_carlo" and mc_count < 1000:
+        raise ValueError("monte_carlo needs mc_count >= 1000")
     s = _spectral_s(dim, t)
     vol = ball_volume(dim, ball.radius)
     main = H2_MAIN_TERM if dim == 2 else bianchi_main_term(evaluator.field)
     stderr = 0.0
+    series = evaluator.plan(s)
     if method == "quadrature":
-        raw = ball_quadrature(ball, lambda p: abs(evaluator.value(p, s)) ** 2,
-                              order=order).real
+        raw = ball_quadrature(ball, lambda p: abs(series(p)) ** 2, order=order).real
     else:
-        if mc_count < 1000:
-            raise ValueError("monte_carlo needs mc_count >= 1000")
         pts = sample_ball(ball, seed, mc_count)
-        vals = [abs(evaluator.value(p, s)) ** 2 for p in pts]
+        vals = [abs(series(p)) ** 2 for p in pts]
         mean = _pairwise_sum(vals) / mc_count
         var = _pairwise_sum([(v - mean) ** 2 for v in vals]) / (mc_count - 1)
         raw = vol * mean
@@ -132,15 +132,17 @@ def mean_value_residual(dim: int, ball: GeodesicBall, t: complex, evaluator,
 
     The sharpest end-to-end probe in the package: the ball average of any
     Laplace eigenfunction equals the spherical transform of the normalized
-    indicator kernel times the center value.
+    indicator kernel times the center value.  The average goes through
+    `evaluator.plan(s)` and the center through `evaluator.value`, so for the
+    Eisenstein evaluators the check also compares the Chebyshev K table
+    against the direct K route.
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
     if ball.dimension != dim:
         raise ValueError("ball dimension does not match dim")
     s = _spectral_s(dim, t)
-    avg = ball_quadrature(ball, lambda p: evaluator.value(p, s),
-                          order=order) / ball_volume(dim, ball.radius)
+    avg = ball_quadrature(ball, evaluator.plan(s), order=order) / ball_volume(dim, ball.radius)
     h = h_char(BallKernel(dim, ball.radius), t)
     center = evaluator.value(ball.center, s)
     pred = h * center

@@ -475,6 +475,43 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert err.startswith("config error: unknown key 'bogus'")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("order = 12", "order = 1"), "order must be >= 2"),
+    (("mc_count = 2000", "mc_count = 999"), "monte_carlo needs mc_count >= 1000"),
+    (("y = 1.2\n", "y = 1.2\n\n    [evaluator]\n    truncation = abc\n"),
+     "bad value for 'truncation' in [evaluator]: invalid literal for int()"),
+    (("t_step = 2.0", "t_step = nan"), "t_step must be finite, got nan"),
+    (("t_start = 5.0", "t_start = -inf"), "t_start must be finite, got -inf"),
+    (("t_stop = 9.0", "t_stop = inf"), "t_stop must be finite, got inf"),
+], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf"])
+def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, edit, message):
+    # a non-finite grid would never end t_values(); make it fail fast instead
+    # of hanging, should the parse-time check ever let one through
+    def no_grid(self):
+        raise RuntimeError("grid expanded after a bad config was accepted")
+    monkeypatch.setattr(ExperimentConfig, "t_values", no_grid)
+    path = _write(tmp_path, _QE_MC.replace(*edit))
+    rc = main(["qe-scan", "--config", path, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[experiment]\nkind = eval\nkind = eval\n",
+    "kind = eval\n",
+], ids=["duplicate_key", "no_section_header"])
+def test_main_rejects_malformed_ini(tmp_path, capsys, text):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    rc = main(["eval", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed config: ")
+    assert err.count("\n") == 1
+
+
 def test_main_subcommand_mismatch_exit_code(tmp_path, capsys):
     path = _write(tmp_path, _QE_MC)
     rc = main(["variance", "--config", path, "--out", str(tmp_path / "x.csv")])

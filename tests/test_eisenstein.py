@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from quelab.geometry import HeegnerPoint, PointH2, PointH3
+from quelab import eisenstein
+from quelab.geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3, sample_ball
 from quelab.eisenstein import (
     EisensteinH2,
     EisensteinH3,
@@ -18,6 +19,8 @@ from quelab.eisenstein import (
     gamma_factors,
     lower_bound_avg,
     reg_triple,
+    _k_scaled_batch,
+    _KTable,
 )
 from quelab.lattice import ImagQuadField
 from quelab.zeta import dirichlet_L, riemann_zeta
@@ -167,6 +170,66 @@ def test_h3_guards():
         EisensteinH3(field=QI, norm_cap=2)
     with pytest.raises(ValueError):
         eis_h3(P, 2.0, ev)
+
+
+@pytest.mark.parametrize("dim, center, t", [
+    (2, PointH2(0.1, 1.2), 8.5),
+    (2, PointH2(-0.37, 0.95), 12.0),
+    (2, PointH2(0.0, 1.0), 40.0),
+    (3, PointH3(0.1 + 0.05j, 1.2), 9.0),
+])
+def test_plan_matches_value_on_a_ball(dim, center, t):
+    """Table-backed plan against the direct one-shot route, relative to the
+    largest |E| on the ball (pointwise ratios blow up near zeros of E)."""
+    ev = EisensteinH2() if dim == 2 else EisensteinH3(field=QI)
+    s = complex(0.5 if dim == 2 else 1.0, t)
+    pts = sample_ball(GeodesicBall(dim, center, t ** (-1.0 / 3.0)), 5, 40)
+    series = ev.plan(s)
+    planned = np.array([series(p) for p in pts])
+    direct = np.array([ev.value(p, s) for p in pts])
+    assert np.max(np.abs(planned - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("tau", [8.0, 12.5, 40.0])
+def test_k_table_matches_direct_route(tau):
+    nu = complex(0.0, tau)
+    xs = np.geomspace(math.pi, 250.0, 500)
+    direct = np.concatenate([_k_scaled_batch(nu, xs[i:i + 50]) for i in range(0, 500, 50)])
+    assert np.max(np.abs(_KTable(nu)(xs) - direct)) <= 1e-14
+
+
+def test_k_table_failed_panel_falls_back_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(eisenstein, "_CHEB_TOL", -1.0)  # no check can pass
+    nu = complex(0.0, 12.5)
+    xs = np.linspace(9.6, 11.2, 9)  # all in the panel [2^(13/4), 2^(14/4)]
+    assert np.array_equal(_KTable(nu)(xs), _k_scaled_batch(nu, xs))
+    wide = np.geomspace(4.0, 90.0, 40)
+    assert np.array_equal(_KTable(nu)(wide), _k_scaled_batch(nu, wide))
+
+
+def test_plan_values_do_not_depend_on_evaluation_order():
+    ev = EisensteinH2()
+    s = complex(0.5, 12.0)
+    pts = sample_ball(GeodesicBall(2, PointH2(0.2, 1.1), 0.6), 11, 30)
+    forward_plan = ev.plan(s)
+    forward = [forward_plan(p) for p in pts]
+    reverse = [ev.plan(s)(p) for p in reversed(pts)][::-1]
+    again = [forward_plan(p) for p in reversed(pts)][::-1]
+    assert forward == reverse == again
+
+
+def test_value_makes_one_direct_k_call(monkeypatch):
+    calls = []
+
+    def counted(nu, xs):
+        calls.append(len(xs))
+        return _k_scaled_batch(nu, xs)
+
+    monkeypatch.setattr(eisenstein, "_k_scaled_batch", counted)
+    EisensteinH2().value(PointH2(0.13, 0.92), complex(0.5, 12.0))
+    assert len(calls) == 1
+    EisensteinH3(field=QI).value(PointH3(0.1 + 0.05j, 1.2), complex(1.0, 9.0))
+    assert len(calls) == 2
 
 
 def test_gamma_factors_report_shape():

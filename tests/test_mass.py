@@ -36,6 +36,9 @@ class _ConstantSeries:
         log = math.log(0.25 + t * t) if self.dim == 2 else math.log(1.0 + t * t)
         return complex(math.sqrt(self.main * log), 0.0)
 
+    def plan(self, s):
+        return lambda p: self.value(p, s)
+
 
 def test_main_term_constants():
     assert H2_MAIN_TERM == pytest.approx(3.0 / math.pi, rel=1e-15)
@@ -129,6 +132,9 @@ def test_mean_value_residual_constant_series():
         def value(self, p, s):
             return 1.0
 
+        def plan(self, s):
+            return lambda p: self.value(p, s)
+
     # the constant eigenfunction sits at t = i/2 where h = 1
     assert mean_value_residual(2, ball, 0.5j, _One()) <= 1e-12
 
@@ -139,6 +145,9 @@ def test_mean_value_residual_non_informative():
     class _Zero:
         def value(self, p, s):
             return 0.0
+
+        def plan(self, s):
+            return lambda p: self.value(p, s)
 
     with pytest.raises(ArithmeticError):
         mean_value_residual(2, ball, 5.0, _Zero())
