@@ -10,10 +10,11 @@ Config grammar is INI-style key = value under fixed section headers; every
 key is validated and unknown keys are hard errors.  Output is a CSV with
 one header line, columns in ResultRow order, floats at 17 significant
 digits, plus an optional JSON-lines mirror.  Given the same config and
-seed the bytes are identical regardless of thread count: rows are computed
-independently and assembled in grid order, per-row Monte Carlo seeds are
-derived from the row index, and wall_time_ms is reported as 0 unless
---timings is passed (real timings are inherently nondeterministic).
+seed the bytes are identical: rows are computed one after another in grid
+order, per-row Monte Carlo seeds are derived from the row index, and
+wall_time_ms is reported as 0 unless --timings is passed (real timings are
+inherently nondeterministic).  --threads is accepted for compatibility and
+ignored.
 """
 
 from __future__ import annotations
@@ -23,17 +24,15 @@ import configparser
 import json
 import math
 import re
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
 from .eisenstein import EisensteinH2, EisensteinH3, lower_bound_avg
 from .geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3
 from .lattice import ImagQuadField
-from .mass import H2_MAIN_TERM, ball_mass, bianchi_main_term, variance_window
+from .mass import H2_MAIN_TERM, MAX_GRID_POINTS, ball_mass, variance_window
 from .selberg import BallKernel, h_char, h_closed_h3
 from .zeta import zeta_moment
 
@@ -180,6 +179,8 @@ def load_config(path: str, kind_override: str | None = None,
             raise ConfigError(f"{key} must be finite, got {value!r}")
     if t_grid[2] <= 0.0:
         raise ConfigError("t_step must be positive")
+    if (t_grid[1] - t_grid[0]) / t_grid[2] >= MAX_GRID_POINTS:
+        raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
 
     rule, rvalue = "fixed", 0.0
     if "radius" in parser:
@@ -251,6 +252,9 @@ def load_config(path: str, kind_override: str | None = None,
     variance_step = _get(exp, "variance_step", float, default=0.25)
     if not 0.0 < variance_step <= 0.5:
         raise ConfigError("variance_step must lie in (0, 0.5]")
+    if kind == "variance" and t_grid[1] / variance_step >= MAX_GRID_POINTS:
+        raise ConfigError(f"variance window [t_stop, 2 t_stop] has more than "
+                          f"{MAX_GRID_POINTS} points")
 
     return ExperimentConfig(
         kind=kind,
@@ -353,20 +357,15 @@ def _compute_row_inner(config: ExperimentConfig, evaluator, index: int,
 
 def run_experiment(config: ExperimentConfig, threads: int = 1,
                    timings: bool = False) -> list[ResultRow]:
-    """One ResultRow per grid point, in grid order, deterministically."""
+    """One ResultRow per grid point, in grid order, deterministically.
+
+    Rows run one after another; `threads` is accepted and ignored.
+    """
     evaluator = None
     if config.kind in ("qe_scan", "variance", "eval"):
         evaluator = _build_evaluator(config)
-    ts = config.t_values()
-    if not ts:
-        return []
-    if threads <= 1:
-        return [_compute_row(config, evaluator, i, t, timings)
-                for i, t in enumerate(ts)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(_compute_row, config, evaluator, i, t, timings)
-                for i, t in enumerate(ts)]
-        return [f.result() for f in futs]
+    return [_compute_row(config, evaluator, i, t, timings)
+            for i, t in enumerate(config.t_values())]
 
 
 def _fmt(x: float) -> str:
@@ -403,7 +402,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="config file path or 'preset:<name>'")
     sub.add_argument("--out", required=True, help="output CSV path")
     sub.add_argument("--jsonl", default=None, help="optional JSON-lines mirror")
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility and ignored: rows run serially")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--timings", action="store_true",
                      help="record real wall times (breaks byte determinism)")
@@ -429,15 +429,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("QUELAB_THREADS", "1"))
-    if threads < 1:
+    if args.threads < 1:
         print("config error: threads must be >= 1", file=sys.stderr)
         return 2
 
     try:
-        rows = run_experiment(config, threads=threads, timings=args.timings)
+        rows = run_experiment(config, timings=args.timings)
     except Exception as exc:  # startup failure, e.g. evaluator construction
         print(f"startup error: {exc}", file=sys.stderr)
         return 2

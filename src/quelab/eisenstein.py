@@ -37,7 +37,7 @@ from .lattice import (
     divisor_sigma,
     enumerate_by_norm,
 )
-from .lattice import _factor_int, _prime_above
+from .lattice import _CLASS_NUMBER_ONE, _factor_int, _prime_above
 from .selberg import BallKernel, h_char
 from .specfun import DEFAULT_POLICY, bessel_K_many, log_gamma
 from .zeta import (
@@ -49,6 +49,7 @@ from .zeta import (
     epstein_Z,
     epstein_lattice_sum,
     scattering_phi_K,
+    scattering_phi_Q,
 )
 
 __all__ = [
@@ -64,10 +65,6 @@ __all__ = [
     "reg_triple",
     "lower_bound_avg",
 ]
-
-# discriminant -> number of units w_d, for the nine one-class discriminants
-_CLASS_ONE_UNITS = {-3: 6, -4: 4, -7: 2, -8: 2, -11: 2,
-                    -19: 2, -43: 2, -67: 2, -163: 2}
 
 _IMAG_ORDER_SWITCH = 8.0  # |Im nu| above which the balanced K route is used
 
@@ -255,32 +252,11 @@ def _reduce_h2(zc: complex) -> complex:
     raise ValueError("fundamental-domain reduction did not terminate")
 
 
-def _int_divisor_power(n: int, a: complex) -> complex:
-    """sum of d^a over positive divisors d of n."""
-    total = 0.0 + 0.0j
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += cmath.exp(a * math.log(d))
-            q = n // d
-            if q != d:
-                total += cmath.exp(a * math.log(q))
-        d += 1
-    return total
-
-
 def _h2_guard(s: complex) -> None:
     if abs(s - 1.0) < 1e-12:
         raise ValueError("pole of the series at s = 1")
     if abs(s - 0.5) < 1e-12 or abs(s) < 1e-12:
         raise ValueError("completed-zeta pole line; s = 0, 1/2 unsupported")
-
-
-def _phi_h2(s: complex, be: ZetaBackend) -> complex:
-    # xi(2s-1)/xi(2s) assembled from log-gamma so the critical line is safe
-    return (math.sqrt(math.pi)
-            * cmath.exp(log_gamma(s - 0.5) - log_gamma(s))
-            * be.zeta(2.0 * s - 1.0) / be.zeta(2.0 * s))
 
 
 @dataclass(frozen=True)
@@ -348,7 +324,7 @@ class EisensteinH2:
     def _plan(self, s: complex, tabulate: bool) -> Callable[[PointH2 | complex], complex]:
         _h2_guard(s)
         be = self.backend or default_backend()
-        phi = _phi_h2(s, be)
+        phi = scattering_phi_Q(s, be)
         nu = s - 0.5
         growth = cmath.exp(s * math.log(math.pi) - log_gamma(s) - _k_shift(nu))
         zeta_2s = be.zeta(2.0 * s)
@@ -367,8 +343,10 @@ class EisensteinH2:
             ns = np.arange(1, n_terms + 1, dtype=float)
             coef = coeffs.get(n_terms)
             if coef is None:
-                sig = np.array([_int_divisor_power(n, 1.0 - 2.0 * s)
-                                for n in range(1, n_terms + 1)])
+                powers = np.exp((1.0 - 2.0 * s) * np.log(ns))
+                sig = np.zeros(n_terms, dtype=complex)
+                for d in range(1, n_terms + 1):
+                    sig[d - 1::d] += powers[d - 1]
                 coef = coeffs[n_terms] = np.exp(nu * np.log(ns)) * sig
             kvals = _k_scaled(nu, 2.0 * math.pi * ns * y, table)
             pref = 4.0 * math.sqrt(y) * growth / zeta_2s
@@ -395,9 +373,11 @@ def eis_h2_heegner(point: HeegnerPoint, s: complex,
     s = complex(s)
     _h2_guard(s)
     be = backend or default_backend()
-    units = _CLASS_ONE_UNITS.get(point.d)
-    if units is not None:
-        form_zeta = units * be.zeta(s) * dirichlet_L(s, point.d)
+    # the factorization needs d to be one of the nine field discriminants;
+    # d = -12, -16, -27, -28 have class number one but are not fundamental
+    fields = [f for f in map(ImagQuadField, _CLASS_NUMBER_ONE) if f.discriminant == point.d]
+    if fields:
+        form_zeta = fields[0].unit_count * be.zeta(s) * dirichlet_L(s, point.d)
     else:
         form_zeta = epstein_Z(EpsteinForm(BinaryQuadraticForm(point.c, -point.b, point.a)), s)
     ay = point.a * point.z.y  # = sqrt(|d|) / 2
@@ -473,7 +453,6 @@ class EisensteinH3:
 
     field: ImagQuadField
     norm_cap: int | None = None
-    backend: ZetaBackend | None = None
     height_floor: float = 0.5
     abs_tol: float = 1e-10
     normalization: str = "E"
@@ -635,8 +614,7 @@ def eis_h3_coset(P: PointH3, S: complex, field_: ImagQuadField, cap: int = 40) -
     return complex(math.fsum(p.real for p in pieces), math.fsum(p.imag for p in pieces))
 
 
-def eis_h3_lattice(P: PointH3, S: complex, field_: ImagQuadField,
-                   backend: ZetaBackend | None = None) -> complex:
+def eis_h3_lattice(P: PointH3, S: complex, field_: ImagQuadField) -> complex:
     """Cusp series through the quaternary Epstein sum r^S Z_4(S) / (w zeta_K(S)).
 
     Writing c = c1 + c2 w, d = d1 + d2 w, the denominator |cz+d|^2 + |c|^2 r^2

@@ -12,7 +12,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._quad import gauss_legendre, gl_nodes
+from ._quad import gl_nodes
 
 __all__ = [
     "PointH2",

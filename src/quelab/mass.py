@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import GeodesicBall, PointH2, PointH3, ball_quadrature, ball_volume, sample_ball
+from .geometry import GeodesicBall, ball_quadrature, ball_volume, sample_ball
 from .selberg import BallKernel, h_char
 from .zeta import dedekind_zeta
 
@@ -31,10 +31,14 @@ __all__ = [
     "mean_value_residual",
     "variance_window",
     "H2_MAIN_TERM",
+    "MAX_GRID_POINTS",
 ]
 
 # 1 / vol(PSL_2(Z) \ H^2) with vol = pi/3
 H2_MAIN_TERM = 3.0 / math.pi
+
+# most t values one grid may hold: a CLI grid, or the window of variance_window
+MAX_GRID_POINTS = 100_000
 
 
 def bianchi_volume(field_) -> float:
@@ -48,17 +52,6 @@ def bianchi_main_term(field_) -> float:
     """w sqrt|d_K| / (4 vol), the corrected equidistribution constant."""
     dk = abs(field_.discriminant)
     return field_.unit_count * math.sqrt(dk) / (4.0 * bianchi_volume(field_))
-
-
-def _pairwise_sum(vals: list[float]) -> float:
-    # fixed summation tree: result independent of chunking or thread count
-    n = len(vals)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return vals[0]
-    mid = n // 2
-    return _pairwise_sum(vals[:mid]) + _pairwise_sum(vals[mid:])
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,8 @@ def ball_mass(dim: int, ball: GeodesicBall, t: float, evaluator,
 
     `evaluator.plan(s)` supplies the series at every point; s is built from
     t on the critical line of the surface.  Monte Carlo draws are
-    deterministic in `seed` and merged by pairwise summation.
+    deterministic in `seed` and merged by `math.fsum`, which rounds
+    correctly, so the sum does not depend on how the draws are ordered.
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
@@ -110,8 +104,8 @@ def ball_mass(dim: int, ball: GeodesicBall, t: float, evaluator,
     else:
         pts = sample_ball(ball, seed, mc_count)
         vals = [abs(series(p)) ** 2 for p in pts]
-        mean = _pairwise_sum(vals) / mc_count
-        var = _pairwise_sum([(v - mean) ** 2 for v in vals]) / (mc_count - 1)
+        mean = math.fsum(vals) / mc_count
+        var = math.fsum((v - mean) ** 2 for v in vals) / (mc_count - 1)
         raw = vol * mean
         stderr = vol * math.sqrt(var / mc_count)
     raw = max(raw, 0.0)
@@ -153,13 +147,18 @@ def mean_value_residual(dim: int, ball: GeodesicBall, t: complex, evaluator,
 
 def variance_window(dim: int, center, R: float, T: float, grid_step: float,
                     evaluator, order: int = 24) -> float:
-    """Trapezoidal integral over [T, 2T] of deviation(t)^2 at fixed radius."""
+    """Trapezoidal integral over [T, 2T] of deviation(t)^2 at fixed radius.
+
+    The window holds about T / grid_step nodes, at most MAX_GRID_POINTS.
+    """
     if grid_step > 0.5:
         raise ValueError("grid_step must be <= 0.5")
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
     if T < 5.0:
         raise ValueError("T must be >= 5")
+    if T / grid_step >= MAX_GRID_POINTS:
+        raise ValueError(f"window [T, 2T] has more than {MAX_GRID_POINTS} points")
     ball = GeodesicBall(dim, center, R)
     ts = []
     tk = T

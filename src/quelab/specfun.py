@@ -88,11 +88,6 @@ def log_gamma(s: complex) -> complex:
     return 0.5 * _LOG_2PI + (w + 0.5) * cmath.log(base) - base + cmath.log(acc)
 
 
-def gamma(s: complex) -> complex:
-    """exp(log_gamma(s)); underflows gracefully for large |Im s|."""
-    return cmath.exp(log_gamma(s))
-
-
 # ----------------------------------------------------------------------------
 # J-Bessel, orders n/2 with n >= 2.
 

@@ -109,13 +109,16 @@ def hurwitz_zeta(s: complex, a: float, policy: PrecisionPolicy = DEFAULT_POLICY)
     return _hurwitz_reg(s, a, policy) + 1.0 / (s - 1.0)
 
 
+# most values one ZetaBackend keeps; past it the oldest entry is evicted
+_CACHE_LIMIT = 65_536
+
+
 @dataclass
 class ZetaBackend:
-    """Memoizing zeta evaluator with a selectable method."""
+    """Memoizing zeta evaluator with a selectable method and a bounded cache."""
 
     method: str = "euler_maclaurin"
     precision: PrecisionPolicy = DEFAULT_POLICY
-    use_cache: bool = True
     _cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -128,19 +131,19 @@ class ZetaBackend:
         if s == 1.0:
             raise ValueError("pole at s = 1")
         key = (self.method, round(s.real, 14), round(s.imag, 14))
-        if self.use_cache:
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
         if self.method == "riemann_siegel" and _rs.STRIP[0] <= s.real <= _rs.STRIP[1]:
             val = _rs.zeta_rs(s)
         else:
             # EM serves as the general-purpose route; the RS integral formula
             # is kept to the critical strip where its contour analysis holds.
             val = _hurwitz_reg(s, 1.0, self.precision) + 1.0 / (s - 1.0)
-        if self.use_cache:
-            with self._lock:
-                self._cache[key] = val
+        with self._lock:
+            if len(self._cache) >= _CACHE_LIMIT:
+                del self._cache[next(iter(self._cache))]
+            self._cache[key] = val
         return val
 
     def cache_size(self) -> int:
@@ -440,19 +443,20 @@ def epstein_lattice_sum(A: np.ndarray, s: complex) -> complex:
 # Scattering matrices.
 
 
-def _xi_completed(s: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    # pi^{-s/2} Gamma(s/2) zeta(s); poles at s = 0 and s = 1
-    zeta_val = _hurwitz_reg(s, 1.0, policy) + 1.0 / (s - 1.0)
-    return cmath.exp(-0.5 * s * math.log(math.pi) + log_gamma(0.5 * s)) * zeta_val
+def scattering_phi_Q(s: complex, backend: ZetaBackend | None = None) -> complex:
+    """Constant-term coefficient xi(2s-1)/xi(2s) of the modular-surface case.
 
-
-def scattering_phi_Q(s: complex) -> complex:
-    """Constant-term coefficient xi(2s-1)/xi(2s) of the modular-surface case."""
+    Assembled from log-gamma so the critical line is safe, with zeta from
+    `backend` (the default backend when None).
+    """
     s = complex(s)
     for bad in (0.0, 0.5, 1.0):
         if abs(s - bad) < 1e-12:
             raise ValueError(f"pole or zero of the completed ratio at s = {bad}")
-    return _xi_completed(2.0 * s - 1.0) / _xi_completed(2.0 * s)
+    be = backend or _DEFAULT_BACKEND
+    return (math.sqrt(math.pi)
+            * cmath.exp(log_gamma(s - 0.5) - log_gamma(s))
+            * be.zeta(2.0 * s - 1.0) / be.zeta(2.0 * s))
 
 
 def scattering_phi_K(field_: ImagQuadField, s: complex) -> complex:

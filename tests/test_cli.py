@@ -475,23 +475,29 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert err.startswith("config error: unknown key 'bogus'")
 
 
-@pytest.mark.parametrize("edit, message", [
-    (("order = 12", "order = 1"), "order must be >= 2"),
-    (("mc_count = 2000", "mc_count = 999"), "monte_carlo needs mc_count >= 1000"),
-    (("y = 1.2\n", "y = 1.2\n\n    [evaluator]\n    truncation = abc\n"),
+@pytest.mark.parametrize("command, edit, message", [
+    ("qe-scan", ("order = 12", "order = 1"), "order must be >= 2"),
+    ("qe-scan", ("mc_count = 2000", "mc_count = 999"), "monte_carlo needs mc_count >= 1000"),
+    ("qe-scan", ("y = 1.2\n", "y = 1.2\n\n    [evaluator]\n    truncation = abc\n"),
      "bad value for 'truncation' in [evaluator]: invalid literal for int()"),
-    (("t_step = 2.0", "t_step = nan"), "t_step must be finite, got nan"),
-    (("t_start = 5.0", "t_start = -inf"), "t_start must be finite, got -inf"),
-    (("t_stop = 9.0", "t_stop = inf"), "t_stop must be finite, got inf"),
-], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf"])
-def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, edit, message):
-    # a non-finite grid would never end t_values(); make it fail fast instead
-    # of hanging, should the parse-time check ever let one through
+    ("qe-scan", ("t_step = 2.0", "t_step = nan"), "t_step must be finite, got nan"),
+    ("qe-scan", ("t_start = 5.0", "t_start = -inf"), "t_start must be finite, got -inf"),
+    ("qe-scan", ("t_stop = 9.0", "t_stop = inf"), "t_stop must be finite, got inf"),
+    ("qe-scan", ("t_step = 2.0", "t_step = 1e-12"), "grid has more than 100000 points"),
+    ("variance", ("kind = qe_scan", "kind = variance\n    variance_step = 1e-300"),
+     "variance window [t_stop, 2 t_stop] has more than 100000 points"),
+], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf",
+        "grid_size", "variance_window_size"])
+def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, command,
+                                                edit, message):
+    # a non-finite or oversized grid would hang or exhaust memory in
+    # t_values(); make it fail fast instead, should the parse-time check
+    # ever let one through
     def no_grid(self):
         raise RuntimeError("grid expanded after a bad config was accepted")
     monkeypatch.setattr(ExperimentConfig, "t_values", no_grid)
     path = _write(tmp_path, _QE_MC.replace(*edit))
-    rc = main(["qe-scan", "--config", path, "--out", str(tmp_path / "x.csv")])
+    rc = main([command, "--config", path, "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}")
@@ -566,15 +572,16 @@ def test_main_empty_grid_writes_header_only(tmp_path):
     assert out.read_text() == ",".join(COLUMNS) + "\n"
 
 
-def test_main_reads_thread_env_var(tmp_path, monkeypatch):
+def test_main_ignores_thread_env_var(tmp_path, monkeypatch):
     path = _write(tmp_path, _QE_MC)
-    flagged = tmp_path / "flagged.csv"
-    assert main(["qe-scan", "--config", path, "--out", str(flagged),
-                 "--threads", "1"]) == 0
-    monkeypatch.setenv("QUELAB_THREADS", "2")
-    from_env = tmp_path / "from_env.csv"
-    assert main(["qe-scan", "--config", path, "--out", str(from_env)]) == 0
-    assert flagged.read_bytes() == from_env.read_bytes()
+    plain = tmp_path / "plain.csv"
+    monkeypatch.delenv("QUELAB_THREADS", raising=False)
+    assert main(["qe-scan", "--config", path, "--out", str(plain)]) == 0
+    for value in ("2", "abc"):
+        monkeypatch.setenv("QUELAB_THREADS", value)
+        from_env = tmp_path / "from_env.csv"
+        assert main(["qe-scan", "--config", path, "--out", str(from_env)]) == 0
+        assert plain.read_bytes() == from_env.read_bytes()
 
 
 # Golden tables hold across machines within this relative bound per cell.

@@ -73,6 +73,15 @@ def test_h2_heegner_fallback_discriminant():
         assert abs(eis_h2(hp.z, s) - eis_h2_heegner(hp, s)) <= 1e-9
 
 
+def test_h2_heegner_uses_factorization_only_at_field_discriminants():
+    # d = -8 factors as w zeta(s) L(s, chi_-8); d = -12 has class number one
+    # but is not a field discriminant, so it must take the Epstein route
+    for hp in (HeegnerPoint(1, 0, 2), HeegnerPoint(1, 0, 3)):
+        for t in (3.0, 8.0):
+            s = complex(0.5, t)
+            assert abs(eis_h2(hp.z, s) - eis_h2_heegner(hp, s)) <= 1e-9, (hp.d, t)
+
+
 def test_h2_truncation_doubling_below_tail_bound():
     for (x, y, t) in ((0.13, 0.92, 9.0), (0.0, 1.0, 21.0), (0.37, 1.4, 3.0)):
         z = PointH2(x, y)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from quelab import mass
 from quelab.eisenstein import EisensteinH2, EisensteinH3, lower_bound_avg
 from quelab.geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3, ball_volume
 from quelab.lattice import ImagQuadField
@@ -179,7 +180,7 @@ def test_variance_window_dominates_min_deviation():
     assert out >= 5.0 * min(devs) - 1e-12
 
 
-def test_variance_window_guards():
+def test_variance_window_guards(monkeypatch):
     ev = EisensteinH2()
     with pytest.raises(ValueError):
         variance_window(2, PointH2(0.0, 1.0), 0.4, 5.0, 0.7, ev)
@@ -187,6 +188,14 @@ def test_variance_window_guards():
         variance_window(2, PointH2(0.0, 1.0), 0.4, 5.0, 0.0, ev)
     with pytest.raises(ValueError):
         variance_window(2, PointH2(0.0, 1.0), 0.4, 3.0, 0.5, ev)
+
+    # a window of 500,000 nodes is refused before any mass is computed; a
+    # step too small to advance T would otherwise never end the node loop
+    def no_mass(*args, **kwargs):
+        raise RuntimeError("ball_mass called for an oversized window")
+    monkeypatch.setattr(mass, "ball_mass", no_mass)
+    with pytest.raises(ValueError, match="more than 100000 points"):
+        variance_window(2, PointH2(0.0, 1.0), 0.4, 5.0, 1e-5, ev)
 
 
 def test_ball_mass_h3_main_term():

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from quelab import zeta
 from quelab.lattice import BinaryQuadraticForm, ImagQuadField
-from quelab.specfun import log_gamma
+from quelab.specfun import DEFAULT_POLICY, log_gamma
 from quelab.zeta import (
+    _hurwitz_reg,
     EpsteinForm,
     ZetaBackend,
     dedekind_fourth_moment,
@@ -53,15 +55,27 @@ def test_backend_methods_agree():
 
 def test_backend_cache_is_pure_optimization():
     cached = ZetaBackend()
-    raw = ZetaBackend(use_cache=False)
     s = 0.5 + 37.25j
-    assert cached.zeta(s) == raw.zeta(s)
-    assert cached.zeta(s) == cached.zeta(s)
+    first = cached.zeta(s)
+    assert cached.zeta(s) == first
     assert cached.cache_size() >= 1
     cached.clear_cache()
     assert cached.cache_size() == 0
+    assert cached.zeta(s) == first
+    assert first == _hurwitz_reg(s, 1.0, DEFAULT_POLICY) + 1.0 / (s - 1.0)
     with pytest.raises(ValueError):
         ZetaBackend(method="mystery")
+
+
+def test_backend_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(zeta, "_CACHE_LIMIT", 8)
+    be = ZetaBackend()
+    ss = [complex(0.5, 10.0 + k) for k in range(20)]
+    first = [be.zeta(s) for s in ss]
+    assert be.cache_size() == 8
+    # the oldest values were evicted; recomputing them gives the same bits
+    assert [be.zeta(s) for s in ss[:4]] == first[:4]
+    assert be.cache_size() == 8
 
 
 def test_hurwitz_domain():
@@ -171,6 +185,22 @@ def test_scattering_phi_q_unitary():
         assert abs(abs(scattering_phi_Q(0.5 + 1j * t)) - 1.0) <= 1e-9
     val = scattering_phi_Q(0.75)
     assert abs(val.imag) < 1e-12
+
+
+def test_scattering_phi_q_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+
+    def xi(w):
+        return mpmath.pi ** (-w / 2) * mpmath.gamma(w / 2) * mpmath.zeta(w)
+
+    points = [complex(0.5, t) for t in (3.0, 11.0, 40.0, 150.0)]
+    points += [complex(0.8, 5.0), complex(0.2, 7.0)]
+    with mpmath.workdps(30):
+        for s in points:
+            w = mpmath.mpc(s.real, s.imag)
+            want = complex(xi(2 * w - 1) / xi(2 * w))
+            got = scattering_phi_Q(s, ZetaBackend())
+            assert abs(got - want) <= 1e-12 * abs(want), (s, abs(got - want) / abs(want))
 
 
 def test_scattering_phi_q_functional_equation():
