@@ -32,7 +32,7 @@ from importlib import resources
 from .eisenstein import EisensteinH2, EisensteinH3, lower_bound_avg
 from .geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3
 from .lattice import ImagQuadField
-from .mass import H2_MAIN_TERM, MAX_GRID_POINTS, ball_mass, variance_window
+from .mass import H2_MAIN_TERM, MAX_BALL_NODES, MAX_GRID_POINTS, ball_mass, variance_window
 from .selberg import BallKernel, h_char, h_closed_h3
 from .zeta import zeta_moment
 
@@ -246,6 +246,12 @@ def load_config(path: str, kind_override: str | None = None,
     mc_count = _get(exp, "mc_count", int, default=4096)
     if method == "monte_carlo" and mc_count < 1000:
         raise ConfigError("monte_carlo needs mc_count >= 1000")
+    dim = 2 if surface == "h2" else 3
+    if kind == "variance" or (kind == "qe_scan" and method == "quadrature"):
+        if order ** dim > MAX_BALL_NODES:
+            raise ConfigError(f"order ** {dim} exceeds {MAX_BALL_NODES} ball nodes")
+    elif kind == "qe_scan" and mc_count > MAX_BALL_NODES:
+        raise ConfigError(f"mc_count exceeds {MAX_BALL_NODES} ball nodes")
     moment_k = _get(exp, "moment_k", int, default=2)
     if moment_k not in (2, 6):
         raise ConfigError("moment_k must be 2 or 6")

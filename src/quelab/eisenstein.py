@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ._quad import gl_nodes, panel_nodes
-from .geometry import HeegnerPoint, PointH2, PointH3
+from .geometry import HeegnerPoint, PointH2, PointH3, node_arrays
 from .lattice import (
     AlgebraicInt,
     BinaryQuadraticForm,
@@ -53,8 +53,10 @@ from .zeta import (
 )
 
 __all__ = [
+    "BLOCK_K_ARGS",
     "EisensteinH2",
     "EisensteinH3",
+    "SeriesPlan",
     "GammaFactorReport",
     "eis_h2",
     "eis_h2_heegner",
@@ -67,6 +69,12 @@ __all__ = [
 ]
 
 _IMAG_ORDER_SWITCH = 8.0  # |Im nu| above which the balanced K route is used
+
+# most K arguments one block of nodes sends to `_k_scaled`: a plan splits its
+# nodes, in order, into blocks of equal node count within this bound.  The
+# cosh-integral route holds two (arguments x grid) float arrays per call, so
+# larger blocks raise peak RSS (1024 costs about 1.5 MB more) and run no faster
+BLOCK_K_ARGS = 256
 
 
 # ----------------------------------------------------------------------------
@@ -235,20 +243,42 @@ class _KTable:
         return out
 
 
+class SeriesPlan:
+    """E(., s) at one s.
+
+    `values(z)` on H^2 and `values(z, r)` on H^3 evaluate arrays of nodes
+    (complex z, heights r) and return the complex values.  Calling the plan
+    on one point runs `values` on a one-node array.
+    """
+
+    def __init__(self, values: Callable[..., np.ndarray]) -> None:
+        self.values = values
+
+    def __call__(self, p: PointH2 | PointH3 | complex) -> complex:
+        return complex(self.values(*node_arrays([p]))[0])
+
+
+def _blocks(n_nodes: int, args_per_node: int) -> list[slice]:
+    """Consecutive node slices of at most BLOCK_K_ARGS K arguments each."""
+    step = max(1, BLOCK_K_ARGS // max(args_per_node, 1))
+    return [slice(a, a + step) for a in range(0, n_nodes, step)]
+
+
 # ----------------------------------------------------------------------------
 # Modular surface.
 
 
-def _reduce_h2(zc: complex) -> complex:
-    """Flip-translate reduction into |x| <= 1/2, |z| >= 1."""
-    if not zc.imag > 0.0:
+def _reduce_h2(zs: np.ndarray) -> np.ndarray:
+    """Flip-translate reduction of each point into |x| <= 1/2, |z| >= 1."""
+    zc = np.array(zs, dtype=complex)
+    if not np.all(zc.imag > 0.0):
         raise ValueError("point must lie in the upper half-plane")
     for _ in range(1000):
-        zc = complex(zc.real - round(zc.real), zc.imag)
-        if abs(zc) < 1.0 - 1e-15:
-            zc = -1.0 / zc
-        else:
+        zc.real -= np.round(zc.real)
+        flip = np.abs(zc) < 1.0 - 1e-15
+        if not flip.any():
             return zc
+        zc[flip] = -1.0 / zc[flip]
     raise ValueError("fundamental-domain reduction did not terminate")
 
 
@@ -288,9 +318,12 @@ class EisensteinH2:
         n = math.ceil(math.log(1.0 / self.abs_tol) / (2.0 * math.pi * self.height_floor))
         return max(self.truncation or 0, n, 1)
 
-    def terms_for(self, y: float, t: float = 0.0) -> int:
-        need = (0.5 * math.pi * abs(t) + math.log(1.0 / self.abs_tol)) / (2.0 * math.pi * y)
-        return max(self.base_truncation(), math.ceil(need) + 4)
+    def terms_for(self, y, t: float = 0.0):
+        """Fourier terms used at height y: an int, or an int array for an array y."""
+        need = ((0.5 * math.pi * abs(t) + math.log(1.0 / self.abs_tol))
+                / (2.0 * math.pi * np.asarray(y, dtype=float)))
+        n = np.maximum(self.base_truncation(), np.ceil(need).astype(np.int64) + 4)
+        return n if n.ndim else int(n)
 
     def tail_bound(self, y: float, t: float = 0.0, n_terms: int | None = None) -> float:
         """Crude majorant of the dropped Fourier tail at height y.
@@ -307,8 +340,8 @@ class EisensteinH2:
         noise = 2e-13 * (1.0 + abs(t)) * max(n, 1)
         return analytic + noise
 
-    def plan(self, s: complex) -> Callable[[PointH2 | complex], complex]:
-        """z -> E(z, s) at one s, for evaluating many points.
+    def plan(self, s: complex) -> SeriesPlan:
+        """E(., s) at one s, for evaluating many points.
 
         The prefactor, constant term, scattering coefficient and divisor
         coefficients are computed once.  On the balanced K route the plan
@@ -321,7 +354,7 @@ class EisensteinH2:
         """E(z, s) at one point, with K straight from the direct route."""
         return self._plan(complex(s), tabulate=False)(z)
 
-    def _plan(self, s: complex, tabulate: bool) -> Callable[[PointH2 | complex], complex]:
+    def _plan(self, s: complex, tabulate: bool) -> SeriesPlan:
         _h2_guard(s)
         be = self.backend or default_backend()
         phi = scattering_phi_Q(s, be)
@@ -329,31 +362,48 @@ class EisensteinH2:
         growth = cmath.exp(s * math.log(math.pi) - log_gamma(s) - _k_shift(nu))
         zeta_2s = be.zeta(2.0 * s)
         table = _KTable(nu) if tabulate else None
-        coeffs: dict[int, np.ndarray] = {}  # n_terms -> n^nu sigma_{1-2s}(n), n <= n_terms
+        # n^nu sigma_{1-2s}(n) for n <= len; the sieve adds the divisors of
+        # each n in the same order whatever the length, so every prefix is
+        # bitwise the array a shorter sieve gives
+        coef = np.zeros(0, dtype=complex)
 
-        def at(z: PointH2 | complex) -> complex:
-            zc = _reduce_h2(z.as_complex if isinstance(z, PointH2) else complex(z))
-            x, y = zc.real, zc.imag
-            if y < self.height_floor - 1e-12:
-                raise ValueError("reduced point sits below the height floor")
-            logy = math.log(y)
-            const = cmath.exp(s * logy) + phi * cmath.exp((1.0 - s) * logy)
-
-            n_terms = self.terms_for(y, s.imag)
-            ns = np.arange(1, n_terms + 1, dtype=float)
-            coef = coeffs.get(n_terms)
-            if coef is None:
+        def coefficients(n_terms: int) -> np.ndarray:
+            nonlocal coef
+            if coef.size < n_terms:
+                ns = np.arange(1, n_terms + 1, dtype=float)
                 powers = np.exp((1.0 - 2.0 * s) * np.log(ns))
                 sig = np.zeros(n_terms, dtype=complex)
                 for d in range(1, n_terms + 1):
                     sig[d - 1::d] += powers[d - 1]
-                coef = coeffs[n_terms] = np.exp(nu * np.log(ns)) * sig
-            kvals = _k_scaled(nu, 2.0 * math.pi * ns * y, table)
-            pref = 4.0 * math.sqrt(y) * growth / zeta_2s
-            series = pref * complex(np.sum(coef * kvals * np.cos(2.0 * math.pi * ns * x)))
-            return const + series
+                coef = np.exp(nu * np.log(ns)) * sig
+            return coef[:n_terms]
 
-        return at
+        def values(zs: np.ndarray) -> np.ndarray:
+            zc = _reduce_h2(zs)
+            x, y = zc.real, zc.imag
+            if np.any(y < self.height_floor - 1e-12):
+                raise ValueError("reduced point sits below the height floor")
+            logy = np.log(y)
+            const = np.exp(s * logy) + phi * np.exp((1.0 - s) * logy)
+            if zc.size == 0:
+                return const
+            # each node keeps its own truncation: terms past its count are
+            # masked out of the block's K call and zero in its sum
+            counts = self.terms_for(y, s.imag)
+            n_max = int(counts.max())
+            freq = 2.0 * math.pi * np.arange(1, n_max + 1, dtype=float)
+            coef = coefficients(n_max)
+            series = np.empty(zc.size, dtype=complex)
+            for block in _blocks(zc.size, n_max):
+                n = int(counts[block].max())
+                used = np.arange(1, n + 1) <= counts[block, None]
+                kvals = np.zeros(used.shape, dtype=complex)
+                kvals[used] = _k_scaled(nu, (freq[:n] * y[block, None])[used], table)
+                series[block] = np.sum(coef[:n] * kvals * np.cos(freq[:n] * x[block, None]),
+                                       axis=1)
+            return const + 4.0 * np.sqrt(y) * growth / zeta_2s * series
+
+        return SeriesPlan(values)
 
 
 def eis_h2(z: PointH2 | complex, s: complex, evaluator: EisensteinH2 | None = None) -> complex:
@@ -388,19 +438,21 @@ def eis_h2_heegner(point: HeegnerPoint, s: complex,
 # Bianchi manifolds.
 
 
-def _reduce_h3(field_: ImagQuadField, P: PointH3) -> PointH3:
+def _reduce_h3(field_: ImagQuadField, zs: np.ndarray,
+               rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip-translate reduction of each point z + r j, as arrays z and r."""
     om = field_.omega
-    z, r = complex(P.z), float(P.r)
+    z, r = np.array(zs, dtype=complex), np.array(rs, dtype=float)
     for _ in range(1000):
         v = z.imag / om.imag
         u = z.real - v * om.real
-        z = z - round(u) - round(v) * om
+        z = z - np.round(u) - np.round(v) * om
         n2 = z.real * z.real + z.imag * z.imag + r * r
-        if n2 < 1.0 - 1e-15:
-            z = -z.conjugate() / n2
-            r = r / n2
-        else:
-            return PointH3(z, r)
+        flip = n2 < 1.0 - 1e-15
+        if not flip.any():
+            return z, r
+        z[flip] = -z[flip].conjugate() / n2[flip]
+        r[flip] = r[flip] / n2[flip]
     raise ValueError("fundamental-domain reduction did not terminate")
 
 
@@ -472,13 +524,17 @@ class EisensteinH3:
             if math.exp(-decay) > self.abs_tol:
                 raise ValueError("norm cap too small for the configured height floor")
 
-    def cap_for(self, r: float, tau: float = 0.0) -> int:
+    def cap_for(self, r, tau: float = 0.0):
+        """Norm cap used at height r: an int, or an int array for an array r."""
+        r = np.asarray(r, dtype=float)
         if self.norm_cap is not None:
-            return self.norm_cap
-        dk = abs(self.field.discriminant)
-        need = 0.5 * math.pi * abs(tau) + math.log(1.0 / self.abs_tol) + 5.0
-        m = need * math.sqrt(dk) / (4.0 * math.pi * r)
-        return max(int(math.ceil(m)) ** 2, 2)
+            cap = np.full(r.shape, self.norm_cap)
+        else:
+            dk = abs(self.field.discriminant)
+            need = 0.5 * math.pi * abs(tau) + math.log(1.0 / self.abs_tol) + 5.0
+            m = need * math.sqrt(dk) / (4.0 * math.pi * r)
+            cap = np.maximum(np.ceil(m).astype(np.int64) ** 2, 2)
+        return cap if cap.ndim else int(cap)
 
     def tail_bound(self, r: float, tau: float = 0.0, cap: int | None = None) -> float:
         """Majorant of the dropped K-Bessel tail plus a float64 noise allowance."""
@@ -490,8 +546,8 @@ class EisensteinH3:
         noise = 2e-13 * (1.0 + abs(tau)) * max(cap, 1)
         return analytic + noise
 
-    def plan(self, S: complex) -> Callable[[PointH3], complex]:
-        """P -> E(P, S) at one S, for evaluating many points.
+    def plan(self, S: complex) -> SeriesPlan:
+        """E(., S) at one S, for evaluating many points.
 
         The prefactor, zeta_K(1+s) and phi_K(s) are computed once.  On the
         balanced K route the plan reads K from its own Chebyshev table
@@ -504,7 +560,7 @@ class EisensteinH3:
         """E(P, S) at one point, with K straight from the direct route."""
         return self._plan(complex(S), tabulate=False)(P)
 
-    def _plan(self, S: complex, tabulate: bool) -> Callable[[PointH3], complex]:
+    def _plan(self, S: complex, tabulate: bool) -> SeriesPlan:
         if abs(S - 2.0) < 1e-12:
             raise ValueError("pole of the series at S = 2")
         if abs(S - 1.0) < 1e-12 or abs(S) < 1e-12:
@@ -518,27 +574,35 @@ class EisensteinH3:
         pref = pref / dedekind_zeta(self.field, 1.0 + s)
         table = _KTable(s) if tabulate else None
 
-        def at(P: PointH3) -> complex:
-            P = _reduce_h3(self.field, P)
-            z, r = complex(P.z), float(P.r)
-            if r < self.height_floor - 1e-12:
+        def values(zs: np.ndarray, rs: np.ndarray) -> np.ndarray:
+            z, r = _reduce_h3(self.field, zs, rs)
+            if np.any(r < self.height_floor - 1e-12):
                 raise ValueError("reduced point sits below the height floor "
                                  "(flip-translate reduction is incomplete for this ring)")
-            logr = math.log(r)
-            const = cmath.exp((1.0 + s) * logr) + phi * cmath.exp((1.0 - s) * logr)
-
-            cap = self.cap_for(r, s.imag)
-            zvals, coeff, uniq_mod, inverse = _h3_term_table(
-                self.field, (s.real, s.imag), cap)
-            kvals = _k_scaled(s, 4.0 * math.pi * uniq_mod * r / math.sqrt(dk), table)
-            theta = (-4.0 * math.pi / math.sqrt(dk)) * (zvals.real * z.imag + zvals.imag * z.real)
-            series = pref * r * complex(np.sum(coeff * kvals[inverse] * np.exp(1j * theta)))
-            out = const + series
+            logr = np.log(r)
+            const = np.exp((1.0 + s) * logr) + phi * np.exp((1.0 - s) * logr)
+            # in each block, nodes sharing a norm cap share one term table and
+            # one K call (sorted sets: np.unique would import numpy.ma, +1.3 MB RSS)
+            caps = self.cap_for(r, s.imag)
+            terms = {cap: _h3_term_table(self.field, (s.real, s.imag), cap)
+                     for cap in sorted(set(caps.tolist()))}
+            widest = max((len(t[2]) for t in terms.values()), default=1)
+            series = np.empty(z.size, dtype=complex)
+            for block in _blocks(z.size, widest):
+                for cap in sorted(set(caps[block].tolist())):
+                    idx = block.start + np.flatnonzero(caps[block] == cap)
+                    zvals, coeff, uniq_mod, inverse = terms[cap]
+                    xs = (4.0 * math.pi * uniq_mod) * r[idx, None] / math.sqrt(dk)
+                    kvals = _k_scaled(s, xs.ravel(), table).reshape(xs.shape)
+                    theta = (-4.0 * math.pi / math.sqrt(dk)) * (
+                        zvals.real * z[idx, None].imag + zvals.imag * z[idx, None].real)
+                    series[idx] = np.sum(coeff * kvals[:, inverse] * np.exp(1j * theta), axis=1)
+            out = const + pref * r * series
             if self.normalization == "E":
                 out = out * (self.field.unit_count / 2.0)
             return out
 
-        return at
+        return SeriesPlan(values)
 
 
 def eis_h3(P: PointH3, S: complex, evaluator: EisensteinH3) -> complex:

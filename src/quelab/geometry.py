@@ -24,7 +24,9 @@ __all__ = [
     "ball_volume",
     "apply_mobius",
     "sample_ball",
+    "ball_nodes",
     "ball_quadrature",
+    "node_arrays",
 ]
 
 _MIN_RADIUS = 1e-8  # degenerate balls are rejected rather than approximated
@@ -177,29 +179,38 @@ def apply_mobius(M: Mobius3, P: PointH3) -> PointH3:
 # Geodesic polar coordinates about a center.
 
 
-def _disk_to_h2(w: complex) -> complex:
-    # Poincare disk -> upper half-plane, 0 -> i.
-    return 1j * (1.0 + w) / (1.0 - w)
+def _polar_h2(center: PointH2, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    # Poincare disk point tanh(rho/2) e^{i phi} -> upper half-plane (0 -> i),
+    # then scaled and shifted onto the center
+    w = np.tanh(0.5 * rho) * (np.cos(phi) + 1j * np.sin(phi))
+    return center.x + center.y * (1j * (1.0 + w) / (1.0 - w))
 
 
-def _ball_to_h3(v: np.ndarray) -> tuple[complex, float]:
-    # Poincare ball -> upper half-space, 0 -> j: inversion about S((0,0,-1), sqrt 2).
-    s1, s2, s3 = v[0], v[1], v[2] + 1.0
+def _polar_h3(center: PointH3, rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Poincare ball point tanh(rho/2) n -> upper half-space (0 -> j), by the
+    # inversion about S((0,0,-1), sqrt 2); n holds unit vectors in its rows
+    tau = np.tanh(0.5 * rho)
+    s1, s2, s3 = tau * n[:, 0], tau * n[:, 1], tau * n[:, 2] + 1.0
     den = s1 * s1 + s2 * s2 + s3 * s3
-    return complex(2.0 * s1 / den, 2.0 * s2 / den), -1.0 + 2.0 * s3 / den
+    z0 = 2.0 * s1 / den + 1j * (2.0 * s2 / den)
+    return center.z + center.r * z0, center.r * (-1.0 + 2.0 * s3 / den)
 
 
-def _polar_point_h2(center: PointH2, rho: float, phi: float) -> PointH2:
-    w = math.tanh(0.5 * rho) * complex(math.cos(phi), math.sin(phi))
-    z0 = _disk_to_h2(w)
-    z = complex(center.x, 0.0) + center.y * z0
-    return PointH2(z.real, z.imag)
+def _points(nodes: tuple[np.ndarray, ...]) -> list[Point]:
+    # inverse of node_arrays: (z,) -> PointH2, (z, r) -> PointH3
+    if len(nodes) == 1:
+        return [PointH2(z.real, z.imag) for z in nodes[0].tolist()]
+    return [PointH3(z, r) for z, r in zip(nodes[0].tolist(), nodes[1].tolist())]
 
 
-def _polar_point_h3(center: PointH3, rho: float, nx: float, ny: float, nz: float) -> PointH3:
-    tau = math.tanh(0.5 * rho)
-    z0, r0 = _ball_to_h3(np.array([tau * nx, tau * ny, tau * nz]))
-    return PointH3(center.z + center.r * z0, center.r * r0)
+def node_arrays(points: list[Point | complex]) -> tuple[np.ndarray, ...]:
+    """Points of one space as node arrays: (z, r) for PointH3, else (z,) for
+    PointH2 or complex z."""
+    if points and isinstance(points[0], PointH3):
+        return (np.array([p.z for p in points], dtype=complex),
+                np.array([p.r for p in points], dtype=float))
+    return (np.array([p.as_complex if isinstance(p, PointH2) else p for p in points],
+                     dtype=complex),)
 
 
 def _radius_from_cdf(n: int, R: float, u: np.ndarray) -> np.ndarray:
@@ -228,54 +239,44 @@ def sample_ball(ball: GeodesicBall, seed: int, count: int) -> list[Point]:
     if count == 0:
         return []
     rng = np.random.default_rng(seed)
+    rho = _radius_from_cdf(ball.dimension, ball.radius, rng.random(count))
     if ball.dimension == 2:
-        rho = _radius_from_cdf(2, ball.radius, rng.random(count))
-        phi = rng.random(count) * 2.0 * math.pi
-        return [_polar_point_h2(ball.center, float(r), float(p)) for r, p in zip(rho, phi)]
-    rho = _radius_from_cdf(3, ball.radius, rng.random(count))
+        return _points((_polar_h2(ball.center, rho, rng.random(count) * 2.0 * math.pi),))
     vec = rng.normal(size=(count, 3))
     vec /= np.linalg.norm(vec, axis=1)[:, None]
-    return [
-        _polar_point_h3(ball.center, float(r), float(v[0]), float(v[1]), float(v[2]))
-        for r, v in zip(rho, vec)
-    ]
+    return _points(_polar_h3(ball.center, rho, vec))
 
 
-def ball_quadrature(ball: GeodesicBall, f: Callable[[Point], complex], order: int = 32) -> complex:
-    """Tensor Gauss-Legendre integral of f over the ball w.r.t. hyperbolic volume."""
+def ball_nodes(ball: GeodesicBall, order: int = 32) -> tuple[np.ndarray, ...]:
+    """Tensor Gauss-Legendre rule over the ball w.r.t. hyperbolic volume.
+
+    Returns (z, w) in H^2 and (z, r, w) in H^3: node coordinates and
+    weights as flat arrays, radius outermost and azimuth innermost, with
+    order nodes per polar coordinate.
+    """
     if ball.dimension not in (2, 3):
         raise ValueError("quadrature implemented for n in {2, 3}")
     if order < 2:
         raise ValueError("order must be >= 2")
-    R = ball.radius
-    rho, w_rho = gl_nodes(0.0, R, order)
-    if ball.dimension == 2:
-        phi, w_phi = gl_nodes(0.0, 2.0 * math.pi, order)
-        acc = 0.0 + 0.0j
-        for rk, wk in zip(rho, w_rho):
-            ring = sum(
-                wp * f(_polar_point_h2(ball.center, float(rk), float(p)))
-                for p, wp in zip(phi, w_phi)
-            )
-            acc += wk * math.sinh(rk) * ring
-        return acc
-    theta, w_theta = gl_nodes(0.0, math.pi, order)
+    rho, w_rho = gl_nodes(0.0, ball.radius, order)
     phi, w_phi = gl_nodes(0.0, 2.0 * math.pi, order)
-    sin_t = np.sin(theta)
-    cos_t = np.cos(theta)
-    acc = 0.0 + 0.0j
-    for rk, wk in zip(rho, w_rho):
-        shell = 0.0 + 0.0j
-        for st, ct, wt in zip(sin_t, cos_t, w_theta):
-            ring = sum(
-                wp
-                * f(
-                    _polar_point_h3(
-                        ball.center, float(rk), st * math.cos(p), st * math.sin(p), ct
-                    )
-                )
-                for p, wp in zip(phi, w_phi)
-            )
-            shell += wt * st * ring
-        acc += wk * math.sinh(rk) ** 2 * shell
-    return acc
+    if ball.dimension == 2:
+        rr, pp = (a.ravel() for a in np.meshgrid(rho, phi, indexing="ij"))
+        w = np.outer(w_rho * np.sinh(rho), w_phi).ravel()
+        return _polar_h2(ball.center, rr, pp), w
+    theta, w_theta = gl_nodes(0.0, math.pi, order)
+    rr, tt, pp = (a.ravel() for a in np.meshgrid(rho, theta, phi, indexing="ij"))
+    n = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=1)
+    w = ((w_rho * np.sinh(rho) ** 2)[:, None, None] * (w_theta * np.sin(theta))[:, None]
+         * w_phi).ravel()
+    return (*_polar_h3(ball.center, rr, n), w)
+
+
+def ball_quadrature(ball: GeodesicBall, f: Callable[[Point], complex], order: int = 32) -> complex:
+    """Tensor Gauss-Legendre integral of f over the ball w.r.t. hyperbolic volume.
+
+    Calls the scalar f at each node of `ball_nodes`; integrands that take
+    node arrays should use `ball_nodes` directly.
+    """
+    *nodes, w = ball_nodes(ball, order)
+    return sum((wk * f(p) for wk, p in zip(w.tolist(), _points(nodes))), 0j)

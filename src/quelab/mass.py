@@ -19,7 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import GeodesicBall, ball_quadrature, ball_volume, sample_ball
+import numpy as np
+
+from .geometry import (
+    GeodesicBall,
+    ball_nodes,
+    ball_quadrature,
+    ball_volume,
+    node_arrays,
+    sample_ball,
+)
 from .selberg import BallKernel, h_char
 from .zeta import dedekind_zeta
 
@@ -32,6 +41,7 @@ __all__ = [
     "variance_window",
     "H2_MAIN_TERM",
     "MAX_GRID_POINTS",
+    "MAX_BALL_NODES",
 ]
 
 # 1 / vol(PSL_2(Z) \ H^2) with vol = pi/3
@@ -39,6 +49,10 @@ H2_MAIN_TERM = 3.0 / math.pi
 
 # most t values one grid may hold: a CLI grid, or the window of variance_window
 MAX_GRID_POINTS = 100_000
+
+# most nodes one ball mass may hold: order ** dim quadrature nodes, or
+# mc_count Monte Carlo draws; node arrays are allocated up front
+MAX_BALL_NODES = 1_000_000
 
 
 def bianchi_volume(field_) -> float:
@@ -79,10 +93,15 @@ def ball_mass(dim: int, ball: GeodesicBall, t: float, evaluator,
               mc_count: int = 4096, seed: int = 0) -> MassResult:
     """Mass of |E|^2 over a geodesic ball, raw and normalized.
 
-    `evaluator.plan(s)` supplies the series at every point; s is built from
-    t on the critical line of the surface.  Monte Carlo draws are
-    deterministic in `seed` and merged by `math.fsum`, which rounds
-    correctly, so the sum does not depend on how the draws are ordered.
+    `evaluator.plan(s)` supplies the series; s is built from t on the
+    critical line of the surface.  The quadrature nodes (`ball_nodes`), or
+    the Monte Carlo draws, go to the plan's `values` as node arrays, which
+    the Eisenstein plans evaluate in blocks of at most
+    `eisenstein.BLOCK_K_ARGS` K-Bessel arguments; quadrature sums w |E|^2.
+    Monte Carlo draws are deterministic in `seed` and merged by
+    `math.fsum`, which rounds correctly, so the sum does not depend on how
+    the draws are ordered.  A ball of more than MAX_BALL_NODES nodes
+    (order ** dim, or mc_count) raises ValueError before any node is built.
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
@@ -94,16 +113,20 @@ def ball_mass(dim: int, ball: GeodesicBall, t: float, evaluator,
         raise ValueError("method must be 'quadrature' or 'monte_carlo'")
     if method == "monte_carlo" and mc_count < 1000:
         raise ValueError("monte_carlo needs mc_count >= 1000")
+    count = order ** dim if method == "quadrature" else mc_count
+    if count > MAX_BALL_NODES:
+        raise ValueError(f"ball has more than {MAX_BALL_NODES} nodes")
     s = _spectral_s(dim, t)
     vol = ball_volume(dim, ball.radius)
     main = H2_MAIN_TERM if dim == 2 else bianchi_main_term(evaluator.field)
     stderr = 0.0
     series = evaluator.plan(s)
     if method == "quadrature":
-        raw = ball_quadrature(ball, lambda p: abs(series(p)) ** 2, order=order).real
+        *nodes, w = ball_nodes(ball, order)
+        raw = float(np.sum(w * np.abs(series.values(*nodes)) ** 2))
     else:
         pts = sample_ball(ball, seed, mc_count)
-        vals = [abs(series(p)) ** 2 for p in pts]
+        vals = (np.abs(series.values(*node_arrays(pts))) ** 2).tolist()
         mean = math.fsum(vals) / mc_count
         var = math.fsum((v - mean) ** 2 for v in vals) / (mc_count - 1)
         raw = vol * mean

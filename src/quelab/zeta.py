@@ -447,12 +447,17 @@ def scattering_phi_Q(s: complex, backend: ZetaBackend | None = None) -> complex:
     """Constant-term coefficient xi(2s-1)/xi(2s) of the modular-surface case.
 
     Assembled from log-gamma so the critical line is safe, with zeta from
-    `backend` (the default backend when None).
+    `backend` (the default backend when None).  For Re s <= 0 it returns
+    1 / phi(1 - s): Euler-Maclaurin zeta at Re(2s - 1) <= -1 loses digits
+    to cancelling head terms (1.6e-12 relative at s = -0.3 + 20i), while the
+    reflected point lies where it is accurate to about 1e-14.
     """
     s = complex(s)
     for bad in (0.0, 0.5, 1.0):
         if abs(s - bad) < 1e-12:
             raise ValueError(f"pole or zero of the completed ratio at s = {bad}")
+    if s.real <= 0.0:
+        return 1.0 / scattering_phi_Q(1.0 - s, backend)
     be = backend or _DEFAULT_BACKEND
     return (math.sqrt(math.pi)
             * cmath.exp(log_gamma(s - 0.5) - log_gamma(s))

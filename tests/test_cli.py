@@ -486,8 +486,15 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     ("qe-scan", ("t_step = 2.0", "t_step = 1e-12"), "grid has more than 100000 points"),
     ("variance", ("kind = qe_scan", "kind = variance\n    variance_step = 1e-300"),
      "variance window [t_stop, 2 t_stop] has more than 100000 points"),
+    ("qe-scan", ("order = 12\n    method = monte_carlo", "order = 1001\n    method = quadrature"),
+     "order ** 2 exceeds 1000000 ball nodes"),
+    ("variance", ("kind = qe_scan\n    surface = h2\n    seed = 3\n    order = 12",
+                  "kind = variance\n    surface = h2\n    seed = 3\n    order = 1001"),
+     "order ** 2 exceeds 1000000 ball nodes"),
+    ("qe-scan", ("mc_count = 2000", "mc_count = 1000001"), "mc_count exceeds 1000000 ball nodes"),
 ], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf",
-        "grid_size", "variance_window_size"])
+        "grid_size", "variance_window_size", "quadrature_nodes", "variance_nodes",
+        "monte_carlo_nodes"])
 def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, command,
                                                 edit, message):
     # a non-finite or oversized grid would hang or exhaust memory in

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quelab import eisenstein
-from quelab.geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3, sample_ball
+from quelab.geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3, ball_nodes, sample_ball
 from quelab.eisenstein import (
     EisensteinH2,
     EisensteinH3,
@@ -21,6 +21,8 @@ from quelab.eisenstein import (
     reg_triple,
     _k_scaled_batch,
     _KTable,
+    _reduce_h2,
+    _reduce_h3,
 )
 from quelab.lattice import ImagQuadField
 from quelab.zeta import dirichlet_L, riemann_zeta
@@ -239,6 +241,70 @@ def test_value_makes_one_direct_k_call(monkeypatch):
     assert len(calls) == 1
     EisensteinH3(field=QI).value(PointH3(0.1 + 0.05j, 1.2), complex(1.0, 9.0))
     assert len(calls) == 2
+
+
+# balls that span at least two truncations (H^2 term counts, H^3 norm caps)
+BLOCK_CASES = [
+    (EisensteinH2(), PointH2(0.1, 1.2), 6.5),                         # cosh-integral K
+    (EisensteinH2(), PointH2(0.1, 1.2), 12.0),                        # Chebyshev table
+    (EisensteinH3(field=QI), PointH3(0.1 + 0.05j, 1.2), 9.0),         # Chebyshev table
+    (EisensteinH3(field=ImagQuadField(-43)), PointH3(0.1 + 0.1j, 1.5), 4.8),  # cosh
+]
+
+
+def _block_case(ev, center, t):
+    """(s, node arrays, the nodes as points, truncation per node) of a ball."""
+    dim = 3 if isinstance(center, PointH3) else 2
+    s = complex(0.5 if dim == 2 else 1.0, t)
+    *nodes, _ = ball_nodes(GeodesicBall(dim, center, t ** (-1.0 / 3.0)), 10 if dim == 2 else 6)
+    if dim == 2:
+        points = [PointH2(z.real, z.imag) for z in nodes[0].tolist()]
+        truncation = ev.terms_for(_reduce_h2(nodes[0]).imag, t)
+    else:
+        points = [PointH3(z, r) for z, r in zip(nodes[0].tolist(), nodes[1].tolist())]
+        truncation = ev.cap_for(_reduce_h3(ev.field, *nodes)[1], t)
+    return s, nodes, points, truncation
+
+
+@pytest.mark.parametrize("ev, center, t", BLOCK_CASES,
+                         ids=["h2_cosh", "h2_table", "gauss_table", "d43_cosh"])
+def test_block_values_match_per_node_value(ev, center, t):
+    """A plan's block evaluation against the one-node `value`, relative to
+    the largest |E| on the ball."""
+    s, nodes, points, truncation = _block_case(ev, center, t)
+    assert len(set(truncation.tolist())) >= 2
+    block = ev.plan(s).values(*nodes)
+    single = np.array([ev.value(p, s) for p in points])
+    assert np.max(np.abs(block - single)) <= 1e-13 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("ev, center, t", BLOCK_CASES,
+                         ids=["h2_cosh", "h2_table", "gauss_table", "d43_cosh"])
+def test_block_values_do_not_depend_on_block_size(monkeypatch, ev, center, t):
+    """Blocks of one node against the default blocks.  Either way each node
+    sends K exactly the arguments of its own truncation: its term count on
+    H^2, the distinct norms up to its cap on H^3."""
+    s, nodes, _, truncation = _block_case(ev, center, t)
+    if isinstance(ev, EisensteinH2):
+        per_node = truncation.tolist()
+    else:
+        per_node = [eisenstein._h3_term_table(ev.field, (s.real, s.imag), cap)[2].size
+                    for cap in truncation.tolist()]
+    calls = []
+    _k_scaled = eisenstein._k_scaled
+
+    def counted(nu, xs, table=None):
+        calls.append(len(xs))
+        return _k_scaled(nu, xs, table)
+
+    monkeypatch.setattr(eisenstein, "_k_scaled", counted)
+    default = ev.plan(s).values(*nodes)
+    assert 1 < len(calls) < nodes[0].size and sum(calls) == sum(per_node)
+    calls.clear()
+    monkeypatch.setattr(eisenstein, "BLOCK_K_ARGS", 1)
+    one_node_blocks = ev.plan(s).values(*nodes)
+    assert calls == per_node
+    assert np.max(np.abs(one_node_blocks - default)) <= 1e-13 * np.max(np.abs(default))
 
 
 def test_gamma_factors_report_shape():

@@ -12,6 +12,7 @@ from quelab.geometry import (
     PointH2,
     PointH3,
     apply_mobius,
+    ball_nodes,
     ball_quadrature,
     ball_volume,
     distance,
@@ -156,6 +157,50 @@ def test_ball_quadrature_constant_gives_volume():
     b3 = GeodesicBall(3, PointH3(0.1 - 0.2j, 1.1), 0.6)
     assert ball_quadrature(b2, lambda p: 1.0).real == pytest.approx(ball_volume(2, 0.7), abs=1e-12)
     assert ball_quadrature(b3, lambda p: 1.0).real == pytest.approx(ball_volume(3, 0.6), abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, center, R", [
+    (2, PointH2(0.1, 0.9), 0.7),
+    (3, PointH3(0.1 - 0.2j, 1.1), 0.6),
+])
+def test_ball_nodes_weights_sum_to_volume(dim, center, R):
+    for order in (12, 20):
+        *nodes, w = ball_nodes(GeodesicBall(dim, center, R), order)
+        assert all(a.shape == (order ** dim,) for a in (*nodes, w))
+        assert abs(w.sum() - ball_volume(dim, R)) <= 1e-12 * ball_volume(dim, R)
+
+
+def test_ball_nodes_match_polar_coordinates_point_by_point():
+    """The array rule against geodesic polar coordinates built one node at a
+    time: radius outermost, azimuth innermost."""
+    from quelab._quad import gl_nodes
+
+    order = 5
+    c2 = PointH2(0.1, 0.9)
+    z, _ = ball_nodes(GeodesicBall(2, c2, 0.7), order)
+    want = []
+    for rho in gl_nodes(0.0, 0.7, order)[0]:
+        for phi in gl_nodes(0.0, 2.0 * math.pi, order)[0]:
+            w = math.tanh(0.5 * rho) * complex(math.cos(phi), math.sin(phi))
+            want.append(complex(c2.x, 0.0) + c2.y * 1j * (1.0 + w) / (1.0 - w))
+    assert np.max(np.abs(z - np.array(want))) <= 4e-15
+
+    c3 = PointH3(0.1 - 0.2j, 1.1)
+    z, r, _ = ball_nodes(GeodesicBall(3, c3, 0.6), order)
+    want = []
+    for rho in gl_nodes(0.0, 0.6, order)[0]:
+        tau = math.tanh(0.5 * rho)
+        for theta in gl_nodes(0.0, math.pi, order)[0]:
+            for phi in gl_nodes(0.0, 2.0 * math.pi, order)[0]:
+                v = tau * np.array([math.sin(theta) * math.cos(phi),
+                                    math.sin(theta) * math.sin(phi), math.cos(theta)])
+                den = v[0] ** 2 + v[1] ** 2 + (v[2] + 1.0) ** 2
+                want.append((c3.z + c3.r * complex(2.0 * v[0] / den, 2.0 * v[1] / den),
+                             c3.r * (-1.0 + 2.0 * (v[2] + 1.0) / den)))
+    assert np.max(np.abs(z - np.array([p[0] for p in want]))) <= 4e-15
+    assert np.max(np.abs(r - np.array([p[1] for p in want]))) <= 4e-15
+    # every node lies in the ball
+    assert max(distance(3, c3, PointH3(a, b)) for a, b in zip(z.tolist(), r.tolist())) < 0.6
 
 
 def test_ball_quadrature_radial_exponential_h3():

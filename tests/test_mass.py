@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from quelab import mass
-from quelab.eisenstein import EisensteinH2, EisensteinH3, lower_bound_avg
-from quelab.geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3, ball_volume
+from quelab import eisenstein, mass
+from quelab.eisenstein import EisensteinH2, EisensteinH3, SeriesPlan, _reduce_h2, lower_bound_avg
+from quelab.geometry import (
+    GeodesicBall,
+    HeegnerPoint,
+    PointH2,
+    PointH3,
+    ball_nodes,
+    ball_volume,
+)
 from quelab.lattice import ImagQuadField
 from quelab.mass import (
     H2_MAIN_TERM,
@@ -38,7 +45,7 @@ class _ConstantSeries:
         return complex(math.sqrt(self.main * log), 0.0)
 
     def plan(self, s):
-        return lambda p: self.value(p, s)
+        return SeriesPlan(lambda z, *r: np.full(z.shape, self.value(None, s), dtype=complex))
 
 
 def test_main_term_constants():
@@ -100,6 +107,42 @@ def test_ball_mass_guards():
         ball_mass(2, ball, 5.0, ev, method="monte_carlo", mc_count=100)
 
 
+def test_ball_mass_refuses_more_than_max_ball_nodes(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise RuntimeError("nodes built for an oversized ball")
+    monkeypatch.setattr(mass, "ball_nodes", no_nodes)
+    monkeypatch.setattr(mass, "sample_ball", no_nodes)
+    ev = EisensteinH2()
+    ball = GeodesicBall(2, PointH2(0.0, 1.0), 0.3)
+    with pytest.raises(ValueError, match="more than 1000000 nodes"):
+        ball_mass(2, ball, 5.0, ev, order=1001)
+    with pytest.raises(ValueError, match="more than 1000000 nodes"):
+        ball_mass(2, ball, 5.0, ev, method="monte_carlo", mc_count=1_000_001)
+    ball3 = GeodesicBall(3, PointH3(0.1 + 0.1j, 1.0), 0.3)
+    with pytest.raises(ValueError, match="more than 1000000 nodes"):
+        ball_mass(3, ball3, 5.0, EisensteinH3(field=QI), order=101)
+
+
+def test_ball_mass_makes_one_cosh_route_k_call_per_block(monkeypatch):
+    """Below |Im nu| = 8 every block of nodes shares one bessel_K_many call."""
+    calls = []
+    bessel_K_many = eisenstein.bessel_K_many
+
+    def counted(nu, xs, policy):
+        calls.append(len(xs))
+        return bessel_K_many(nu, xs, policy)
+
+    monkeypatch.setattr(eisenstein, "bessel_K_many", counted)
+    ev = EisensteinH2()
+    ball = GeodesicBall(2, PointH2(0.1, 1.2), 6.5 ** (-1.0 / 3.0))
+    ball_mass(2, ball, 6.5, ev, order=20)
+    z, _ = ball_nodes(ball, 20)
+    n_max = int(ev.terms_for(_reduce_h2(z).imag, 6.5).max())
+    per_block = eisenstein.BLOCK_K_ARGS // n_max
+    assert 1 < len(calls) <= math.ceil(z.size / per_block)
+    assert max(calls) <= eisenstein.BLOCK_K_ARGS
+
+
 def test_cauchy_schwarz_single_configuration():
     w = HeegnerPoint(1, 0, 1)
     ball = GeodesicBall(2, w.z, 0.3)
@@ -134,7 +177,7 @@ def test_mean_value_residual_constant_series():
             return 1.0
 
         def plan(self, s):
-            return lambda p: self.value(p, s)
+            return SeriesPlan(lambda z: np.full(z.shape, self.value(None, s), dtype=complex))
 
     # the constant eigenfunction sits at t = i/2 where h = 1
     assert mean_value_residual(2, ball, 0.5j, _One()) <= 1e-12
@@ -148,7 +191,7 @@ def test_mean_value_residual_non_informative():
             return 0.0
 
         def plan(self, s):
-            return lambda p: self.value(p, s)
+            return SeriesPlan(lambda z: np.full(z.shape, self.value(None, s), dtype=complex))
 
     with pytest.raises(ArithmeticError):
         mean_value_residual(2, ball, 5.0, _Zero())

@@ -195,6 +195,8 @@ def test_scattering_phi_q_matches_mpmath():
 
     points = [complex(0.5, t) for t in (3.0, 11.0, 40.0, 150.0)]
     points += [complex(0.8, 5.0), complex(0.2, 7.0)]
+    # left of the strip, where phi comes from the reflected point 1 - s
+    points += [complex(-0.3, 20.0), complex(-1.0, 12.0), complex(0.0, 40.0)]
     with mpmath.workdps(30):
         for s in points:
             w = mpmath.mpc(s.real, s.imag)
