@@ -39,15 +39,14 @@ from .lattice import (
 )
 from .lattice import _CLASS_NUMBER_ONE, _factor_int, _prime_above
 from .selberg import BallKernel, h_char
-from .specfun import DEFAULT_POLICY, bessel_K_many, log_gamma
+from .specfun import bessel_K_many, log_gamma
 from .zeta import (
     EpsteinForm,
-    ZetaBackend,
-    default_backend,
     dedekind_zeta,
     dirichlet_L,
     epstein_Z,
     epstein_lattice_sum,
+    riemann_zeta,
     scattering_phi_K,
     scattering_phi_Q,
 )
@@ -178,7 +177,7 @@ def _k_scaled(nu: complex, xs: np.ndarray, table: _KTable | None = None) -> np.n
     """
     if _k_shift(nu):
         return _k_scaled_batch(nu, xs) if table is None else table(xs)
-    return bessel_K_many(nu, xs, DEFAULT_POLICY)
+    return bessel_K_many(nu, xs)
 
 
 # Chebyshev table for one balanced-route order: panel j covers
@@ -299,7 +298,6 @@ class EisensteinH2:
     """
 
     truncation: int | None = None
-    backend: ZetaBackend | None = None
     height_floor: float = 0.8
     abs_tol: float = 1e-10
 
@@ -356,11 +354,10 @@ class EisensteinH2:
 
     def _plan(self, s: complex, tabulate: bool) -> SeriesPlan:
         _h2_guard(s)
-        be = self.backend or default_backend()
-        phi = scattering_phi_Q(s, be)
+        phi = scattering_phi_Q(s)
         nu = s - 0.5
         growth = cmath.exp(s * math.log(math.pi) - log_gamma(s) - _k_shift(nu))
-        zeta_2s = be.zeta(2.0 * s)
+        zeta_2s = riemann_zeta(2.0 * s)
         table = _KTable(nu) if tabulate else None
         # n^nu sigma_{1-2s}(n) for n <= len; the sieve adds the divisors of
         # each n in the same order whatever the length, so every prefix is
@@ -411,8 +408,7 @@ def eis_h2(z: PointH2 | complex, s: complex, evaluator: EisensteinH2 | None = No
     return (evaluator or EisensteinH2()).value(z, s)
 
 
-def eis_h2_heegner(point: HeegnerPoint, s: complex,
-                   backend: ZetaBackend | None = None) -> complex:
+def eis_h2_heegner(point: HeegnerPoint, s: complex) -> complex:
     """Same series at the root of a form, through the form's zeta function.
 
     For the nine one-class fundamental discriminants the two-variable form
@@ -422,16 +418,15 @@ def eis_h2_heegner(point: HeegnerPoint, s: complex,
     """
     s = complex(s)
     _h2_guard(s)
-    be = backend or default_backend()
     # the factorization needs d to be one of the nine field discriminants;
     # d = -12, -16, -27, -28 have class number one but are not fundamental
     fields = [f for f in map(ImagQuadField, _CLASS_NUMBER_ONE) if f.discriminant == point.d]
     if fields:
-        form_zeta = fields[0].unit_count * be.zeta(s) * dirichlet_L(s, point.d)
+        form_zeta = fields[0].unit_count * riemann_zeta(s) * dirichlet_L(s, point.d)
     else:
         form_zeta = epstein_Z(EpsteinForm(BinaryQuadraticForm(point.c, -point.b, point.a)), s)
     ay = point.a * point.z.y  # = sqrt(|d|) / 2
-    return cmath.exp(s * math.log(ay)) * form_zeta / (2.0 * be.zeta(2.0 * s))
+    return cmath.exp(s * math.log(ay)) * form_zeta / (2.0 * riemann_zeta(2.0 * s))
 
 
 # ----------------------------------------------------------------------------
@@ -747,15 +742,14 @@ def gamma_factors(dim: int, t_j: float, t: float) -> GammaFactorReport:
     )
 
 
-def _log_lambda(w: complex, be: ZetaBackend) -> complex:
+def _log_lambda(w: complex) -> complex:
     # log of pi^{-w/2} Gamma(w/2) zeta(w); keeps tiny completed values in range
     return (-0.5 * w * math.log(math.pi) + log_gamma(0.5 * w)
-            + cmath.log(be.zeta(w)))
+            + cmath.log(riemann_zeta(w)))
 
 
 def reg_triple(dim: int, t: float, tprime: float,
-               field_: ImagQuadField | None = None,
-               backend: ZetaBackend | None = None) -> complex:
+               field_: ImagQuadField | None = None) -> complex:
     """Regularized triple product of critical-line series, constant set to 1.
 
     Only the growth of the modulus is meaningful; the omitted normalizing
@@ -766,13 +760,12 @@ def reg_triple(dim: int, t: float, tprime: float,
     t, tp = float(t), float(tprime)
     if abs(t) < 1e-9 or abs(tp) < 1e-9:
         raise ValueError("t = 0 or t' = 0 lands on a zeta pole of the ratio")
-    be = backend or default_backend()
     if dim == 2:
-        log_num = (2.0 * _log_lambda(complex(0.5, -tp), be)
-                   + _log_lambda(complex(0.5, 2.0 * t - tp), be)
-                   + _log_lambda(complex(0.5, -(2.0 * t + tp)), be))
-        log_den = (2.0 * _log_lambda(complex(1.0, 2.0 * t), be).real
-                   + _log_lambda(complex(1.0, -2.0 * tp), be))
+        log_num = (2.0 * _log_lambda(complex(0.5, -tp))
+                   + _log_lambda(complex(0.5, 2.0 * t - tp))
+                   + _log_lambda(complex(0.5, -(2.0 * t + tp))))
+        log_den = (2.0 * _log_lambda(complex(1.0, 2.0 * t)).real
+                   + _log_lambda(complex(1.0, -2.0 * tp)))
         return cmath.exp(log_num - log_den)
     fld = field_ or ImagQuadField(-1)
     u = complex(0.5, 0.5 * tp)
@@ -792,8 +785,7 @@ def reg_triple(dim: int, t: float, tprime: float,
 # Cauchy-Schwarz lower bound for the normalized ball mass.
 
 
-def lower_bound_avg(w: HeegnerPoint, R: float, t: float,
-                    backend: ZetaBackend | None = None) -> float:
+def lower_bound_avg(w: HeegnerPoint, R: float, t: float) -> float:
     """|h_R(t)|^2 |E(w, 1/2+it)|^2 / log(1/4+t^2): the ball-average bound.
 
     Cauchy-Schwarz turns the squared ball average of the series into a lower
@@ -804,5 +796,5 @@ def lower_bound_avg(w: HeegnerPoint, R: float, t: float,
     if t < 2.0:
         raise ValueError("t must be >= 2")
     h = h_char(BallKernel(2, R), t)
-    center = eis_h2_heegner(w, complex(0.5, t), backend)
+    center = eis_h2_heegner(w, complex(0.5, t))
     return (abs(h) ** 2) * (abs(center) ** 2) / math.log(0.25 + t * t)

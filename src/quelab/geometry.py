@@ -73,17 +73,6 @@ class Mobius3:
         if abs(det - 1.0) > 1e-12:
             raise ValueError(f"determinant must be 1, got {det}")
 
-    def equivalent(self, other: "Mobius3") -> bool:
-        same = all(
-            abs(x - y) <= 1e-12
-            for x, y in zip((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
-        )
-        neg = all(
-            abs(x + y) <= 1e-12
-            for x, y in zip((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
-        )
-        return same or neg
-
 
 @dataclass(frozen=True)
 class GeodesicBall:

@@ -97,9 +97,6 @@ class AlgebraicInt:
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def __neg__(self) -> "AlgebraicInt":
         return AlgebraicInt(self.field, -self.u, -self.v)
 

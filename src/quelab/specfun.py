@@ -1,22 +1,24 @@
 """Special functions: complex log-gamma, K-Bessel of complex order, J-Bessel.
 
 Everything here is float64. The K-Bessel evaluator integrates the cosh
-representation directly; accuracy is controlled by a PrecisionPolicy rather
-than by regime-switching asymptotics.
+representation directly rather than switching between asymptotic regimes;
+its accuracy is set by the e^{-42} tail cutoff and the panel density.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gauss_legendre
+from ._quad import panel_nodes
 
-__all__ = ["PrecisionPolicy", "log_gamma", "bessel_J", "bessel_K"]
+__all__ = ["log_gamma", "bessel_J", "bessel_K", "bessel_K_many"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# cap on K quadrature nodes; 16 nodes per panel, so at most 3,750 panels
+_K_MAX_NODES = 60_000
 
 # Lanczos approximation, g = 7, 9 terms.  Relative error of Gamma is below
 # 1e-13 on the right half-plane, which the accuracy tests pin down.
@@ -32,29 +34,6 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Error budget for quadrature-backed evaluations.
-
-    abs_tol bounds the absolute truncation error, rel_tol the relative error
-    where the result is not dominated by cancellation, and max_nodes caps the
-    total number of integrand evaluations.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_nodes: int = 60000
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_nodes < 64:
-            raise ValueError("max_nodes too small to be useful")
-
-
-DEFAULT_POLICY = PrecisionPolicy()
 
 
 def _log_sin_pi(s: complex) -> complex:
@@ -166,22 +145,16 @@ def _k_cutoff(x: float, re_nu: float) -> float:
     return max(u, 1.0)
 
 
-def _k_grid(x_min: float, nu: complex, policy: PrecisionPolicy) -> tuple[np.ndarray, np.ndarray]:
+def _k_grid(x_min: float, nu: complex) -> tuple[np.ndarray, np.ndarray]:
     u_max = _k_cutoff(x_min, nu.real)
     per = 16
     freq = max(1.0, abs(nu.imag))
     panels = max(4, int(math.ceil(u_max * freq / math.pi)))
-    panels = min(panels, max(4, policy.max_nodes // per))
-    edges = np.linspace(0.0, u_max, panels + 1)
-    xg, wg = gauss_legendre(per)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * xg[None, :]).ravel()
-    weights = np.broadcast_to(half * wg, (panels, per)).ravel()
-    return nodes, weights
+    panels = min(panels, _K_MAX_NODES // per)
+    return panel_nodes(0.0, u_max, panels, per)
 
 
-def bessel_K_many(nu: complex, xs: np.ndarray, policy: PrecisionPolicy = DEFAULT_POLICY) -> np.ndarray:
+def bessel_K_many(nu: complex, xs: np.ndarray) -> np.ndarray:
     """Vectorized K_nu over an array of positive x, one shared node grid."""
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
@@ -189,7 +162,7 @@ def bessel_K_many(nu: complex, xs: np.ndarray, policy: PrecisionPolicy = DEFAULT
     if np.any(xs <= 0.0):
         raise ValueError("bessel_K requires x > 0")
     nu = complex(nu)
-    u, w = _k_grid(float(xs.min()), nu, policy)
+    u, w = _k_grid(float(xs.min()), nu)
     if nu.imag == 0.0:
         osc = np.cosh(nu.real * u)
     elif nu.real == 0.0:
@@ -206,8 +179,8 @@ def bessel_K_many(nu: complex, xs: np.ndarray, policy: PrecisionPolicy = DEFAULT
     return out
 
 
-def bessel_K(order: complex, x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def bessel_K(order: complex, x: float) -> complex:
     """K-Bessel of complex order via the cosh integral; domain x > 0."""
     if x <= 0.0:
         raise ValueError("bessel_K requires x > 0")
-    return complex(bessel_K_many(order, np.array([float(x)]), policy)[0])
+    return complex(bessel_K_many(order, np.array([float(x)]))[0])

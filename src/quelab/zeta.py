@@ -21,7 +21,7 @@ import numpy as np
 from ._quad import gl_nodes
 from . import _rs
 from .lattice import BinaryQuadraticForm, ImagQuadField, kronecker_chi
-from .specfun import DEFAULT_POLICY, PrecisionPolicy, log_gamma
+from .specfun import log_gamma
 
 __all__ = [
     "ZetaBackend",
@@ -54,6 +54,12 @@ _B_OVER_FACT = (
 )
 _B18_OVER_FACT = 43867.0 / (798.0 * 6402373705728000.0)  # tail estimator
 
+# Euler-Maclaurin stops once its tail estimate is below
+# max(abs tol, rel tol * |value|), or at the head-term cap
+_EM_ABS_TOL = 1e-12
+_EM_REL_TOL = 1e-10
+_EM_MAX_TERMS = 60_000
+
 
 def _cexpm1(z: complex) -> complex:
     if abs(z) < 0.5:
@@ -68,11 +74,11 @@ def _cexpm1(z: complex) -> complex:
     return cmath.exp(z) - 1.0
 
 
-def _hurwitz_reg(s: complex, x: float, policy: PrecisionPolicy) -> complex:
+def _hurwitz_reg(s: complex, x: float) -> complex:
     """zeta(s, x) - 1/(s-1): the pole-free part, entire in s."""
     s = complex(s)
     N = max(20, int(2.0 * abs(s.imag)) + 1)
-    N = min(N, policy.max_nodes)
+    N = min(N, _EM_MAX_TERMS)
     while True:
         k = np.arange(N, dtype=float) + x
         head = complex(np.sum(np.exp(-s * np.log(k))))
@@ -95,18 +101,18 @@ def _hurwitz_reg(s: complex, x: float, policy: PrecisionPolicy) -> complex:
             Mpow /= M * M
         total += bern
         tail = _B18_OVER_FACT * abs(poch) * abs(Mpow)
-        if tail <= max(policy.abs_tol, policy.rel_tol * abs(total)) or N >= policy.max_nodes:
+        if tail <= max(_EM_ABS_TOL, _EM_REL_TOL * abs(total)) or N >= _EM_MAX_TERMS:
             return total
-        N = min(2 * N, policy.max_nodes)
+        N = min(2 * N, _EM_MAX_TERMS)
 
 
-def hurwitz_zeta(s: complex, a: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def hurwitz_zeta(s: complex, a: float) -> complex:
     if a <= 0.0:
         raise ValueError("a must be positive")
     s = complex(s)
     if s == 1.0:
         raise ValueError("pole at s = 1")
-    return _hurwitz_reg(s, a, policy) + 1.0 / (s - 1.0)
+    return _hurwitz_reg(s, a) + 1.0 / (s - 1.0)
 
 
 # most values one ZetaBackend keeps; past it the oldest entry is evicted
@@ -118,7 +124,6 @@ class ZetaBackend:
     """Memoizing zeta evaluator with a selectable method and a bounded cache."""
 
     method: str = "euler_maclaurin"
-    precision: PrecisionPolicy = DEFAULT_POLICY
     _cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -139,7 +144,7 @@ class ZetaBackend:
         else:
             # EM serves as the general-purpose route; the RS integral formula
             # is kept to the critical strip where its contour analysis holds.
-            val = _hurwitz_reg(s, 1.0, self.precision) + 1.0 / (s - 1.0)
+            val = _hurwitz_reg(s, 1.0) + 1.0 / (s - 1.0)
         with self._lock:
             if len(self._cache) >= _CACHE_LIMIT:
                 del self._cache[next(iter(self._cache))]
@@ -161,8 +166,8 @@ def default_backend() -> ZetaBackend:
     return _DEFAULT_BACKEND
 
 
-def riemann_zeta(s: complex, backend: ZetaBackend | None = None) -> complex:
-    return (backend or _DEFAULT_BACKEND).zeta(s)
+def riemann_zeta(s: complex) -> complex:
+    return _DEFAULT_BACKEND.zeta(s)
 
 
 _FUNDAMENTAL_CACHE: dict[int, bool] = {}
@@ -192,7 +197,7 @@ def _is_fundamental(d: int) -> bool:
     return got
 
 
-def dirichlet_L(s: complex, d_K: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def dirichlet_L(s: complex, d_K: int) -> complex:
     """L(s, chi) for the primitive quadratic character of discriminant d_K.
 
     Hurwitz decomposition q^{-s} sum_a chi(a) zeta(s, a/q); the character
@@ -207,18 +212,17 @@ def dirichlet_L(s: complex, d_K: int, policy: PrecisionPolicy = DEFAULT_POLICY) 
     for a in range(1, q):
         chi = kronecker_chi(d_K, a)
         if chi:
-            total += chi * _hurwitz_reg(s, a / q, policy)
+            total += chi * _hurwitz_reg(s, a / q)
     return cmath.exp(-s * math.log(q)) * total
 
 
-def dedekind_zeta(field_: ImagQuadField, s: complex,
-                  policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def dedekind_zeta(field_: ImagQuadField, s: complex) -> complex:
     """zeta_K = zeta(s) L(s, chi_{d_K}) for the imaginary quadratic field."""
     s = complex(s)
     if s == 1.0:
         raise ValueError("pole at s = 1")
-    zeta_part = _hurwitz_reg(s, 1.0, policy) + 1.0 / (s - 1.0)
-    return zeta_part * dirichlet_L(s, field_.discriminant, policy)
+    zeta_part = _hurwitz_reg(s, 1.0) + 1.0 / (s - 1.0)
+    return zeta_part * dirichlet_L(s, field_.discriminant)
 
 
 # ----------------------------------------------------------------------------
@@ -443,11 +447,11 @@ def epstein_lattice_sum(A: np.ndarray, s: complex) -> complex:
 # Scattering matrices.
 
 
-def scattering_phi_Q(s: complex, backend: ZetaBackend | None = None) -> complex:
+def scattering_phi_Q(s: complex) -> complex:
     """Constant-term coefficient xi(2s-1)/xi(2s) of the modular-surface case.
 
     Assembled from log-gamma so the critical line is safe, with zeta from
-    `backend` (the default backend when None).  For Re s <= 0 it returns
+    `riemann_zeta`.  For Re s <= 0 it returns
     1 / phi(1 - s): Euler-Maclaurin zeta at Re(2s - 1) <= -1 loses digits
     to cancelling head terms (1.6e-12 relative at s = -0.3 + 20i), while the
     reflected point lies where it is accurate to about 1e-14.
@@ -457,11 +461,10 @@ def scattering_phi_Q(s: complex, backend: ZetaBackend | None = None) -> complex:
         if abs(s - bad) < 1e-12:
             raise ValueError(f"pole or zero of the completed ratio at s = {bad}")
     if s.real <= 0.0:
-        return 1.0 / scattering_phi_Q(1.0 - s, backend)
-    be = backend or _DEFAULT_BACKEND
+        return 1.0 / scattering_phi_Q(1.0 - s)
     return (math.sqrt(math.pi)
             * cmath.exp(log_gamma(s - 0.5) - log_gamma(s))
-            * be.zeta(2.0 * s - 1.0) / be.zeta(2.0 * s))
+            * riemann_zeta(2.0 * s - 1.0) / riemann_zeta(2.0 * s))
 
 
 def scattering_phi_K(field_: ImagQuadField, s: complex) -> complex:
@@ -500,7 +503,7 @@ def _line_integral(f, T: float) -> float:
     return math.fsum(pieces)
 
 
-def zeta_moment(k: int, T: float, backend: ZetaBackend | None = None) -> float:
+def zeta_moment(k: int, T: float) -> float:
     """Integral over [0, T] of |zeta(1/2 + it)|^{2k}, k in {2, 6}."""
     if k not in (2, 6):
         raise ValueError("k must be 2 or 6")
@@ -508,9 +511,8 @@ def zeta_moment(k: int, T: float, backend: ZetaBackend | None = None) -> float:
         raise ValueError("T must be nonnegative")
     if T == 0.0:
         return 0.0
-    be = backend or _DEFAULT_BACKEND
     power = 2 * k
-    return _line_integral(lambda t: abs(be.zeta(complex(0.5, t))) ** power, T)
+    return _line_integral(lambda t: abs(riemann_zeta(complex(0.5, t))) ** power, T)
 
 
 @dataclass(frozen=True)
@@ -519,8 +521,7 @@ class FourthMomentResult:
     holder_bound: float
 
 
-def dedekind_fourth_moment(field_: ImagQuadField, T: float,
-                           backend: ZetaBackend | None = None) -> FourthMomentResult:
+def dedekind_fourth_moment(field_: ImagQuadField, T: float) -> FourthMomentResult:
     """Fourth moment of zeta_K on the critical line, with its Holder majorant.
 
     The direct integral of |zeta|^4 |L|^4 and the bound
@@ -531,7 +532,6 @@ def dedekind_fourth_moment(field_: ImagQuadField, T: float,
         raise ValueError("T must be nonnegative")
     if T == 0.0:
         return FourthMomentResult(0.0, 0.0)
-    be = backend or _DEFAULT_BACKEND
     d_K = field_.discriminant
     edges = [0.25 * k for k in range(int(T / 0.25) + 1)]
     if edges[-1] < T - 1e-12:
@@ -541,7 +541,7 @@ def dedekind_fourth_moment(field_: ImagQuadField, T: float,
     sixth_parts = []
     for lo, hi in zip(edges, edges[1:]):
         u, w = gl_nodes(lo, hi, 12)
-        az = np.array([abs(be.zeta(complex(0.5, t))) for t in u])
+        az = np.array([abs(riemann_zeta(complex(0.5, t))) for t in u])
         al = np.array([abs(dirichlet_L(complex(0.5, t), d_K)) for t in u])
         direct_parts.append(float(np.dot(az**4 * al**4, w)))
         twelfth_parts.append(float(np.dot(az**12, w)))

@@ -128,9 +128,9 @@ def test_ball_mass_makes_one_cosh_route_k_call_per_block(monkeypatch):
     calls = []
     bessel_K_many = eisenstein.bessel_K_many
 
-    def counted(nu, xs, policy):
+    def counted(nu, xs):
         calls.append(len(xs))
-        return bessel_K_many(nu, xs, policy)
+        return bessel_K_many(nu, xs)
 
     monkeypatch.setattr(eisenstein, "bessel_K_many", counted)
     ev = EisensteinH2()

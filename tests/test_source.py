@@ -9,11 +9,18 @@ import pytest
 _SRC = sorted((Path(__file__).parent.parent / "src" / "quelab").glob("*.py"))
 
 
-def _unused_imports(tree: ast.Module) -> list[str]:
-    """Names bound by top-level imports that the module never reads.
+def _exports(tree: ast.Module) -> list[str]:
+    """The names listed in the module's __all__, in order."""
+    names: list[str] = []
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names.extend(ast.literal_eval(node.value))
+    return names
 
-    A name listed in __all__ counts as read: the module re-exports it.
-    """
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Names bound by top-level imports, with the line that binds each."""
     bound: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -22,11 +29,17 @@ def _unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by top-level imports that the module never reads.
+
+    A name listed in __all__ counts as read: the module re-exports it.
+    """
+    bound = _imported(tree)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(_exports(tree))
     return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
             if name not in used]
 
@@ -41,3 +54,27 @@ def test_unused_import_check_sees_orphans():
     tree = ast.parse("import os\nimport numpy as np\nfrom .a import b, c as d\n"
                      "from __future__ import annotations\n__all__ = ['b']\nnp.sum(0)\n")
     assert _unused_imports(tree) == ["line 1: os", "line 3: d"]
+
+
+def _stale_exports(tree: ast.Module) -> list[str]:
+    """Names in __all__ that no top-level statement of the module binds."""
+    bound = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return [name for name in _exports(tree) if name not in bound]
+
+
+@pytest.mark.parametrize("path", _SRC, ids=[p.name for p in _SRC])
+def test_all_names_are_bound(path):
+    stale = _stale_exports(ast.parse(path.read_text(), filename=str(path)))
+    assert not stale, f"{path.name} lists names in __all__ it never binds: {stale}"
+
+
+def test_export_check_sees_stale_names():
+    tree = ast.parse("from .a import b\nc, d = 1, 2\nK: int = 3\nclass E: pass\n"
+                     "def f(): g = 1\n__all__ = ['b', 'c', 'd', 'K', 'E', 'f', 'g', 'Gone']\n")
+    assert _stale_exports(tree) == ["g", "Gone"]
