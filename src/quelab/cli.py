@@ -167,6 +167,9 @@ def load_config(path: str, kind_override: str | None = None,
         raise ConfigError(
             f"config kind {kind!r} does not match subcommand {kind_override!r}")
     surface, field_D = _parse_surface(_get(exp, "surface", str, default="h2"))
+    foreign = "norm_cap" if surface == "h2" else "truncation"
+    if "evaluator" in parser and foreign in parser["evaluator"]:
+        raise ConfigError(f"'{foreign}' in [evaluator] does not apply to surface {surface}")
 
     grid = parser["grid"]
     t_grid = (
@@ -284,13 +287,8 @@ def load_config(path: str, kind_override: str | None = None,
 def _build_evaluator(config: ExperimentConfig):
     kwargs = dict(config.evaluator_overrides)
     if config.surface == "h2":
-        allowed = {"truncation", "abs_tol", "height_floor"}
-        kwargs = {k: v for k, v in kwargs.items() if k in allowed}
         return EisensteinH2(**kwargs)
-    field_ = ImagQuadField(config.field_D)
-    allowed = {"norm_cap", "abs_tol", "height_floor"}
-    kwargs = {k: v for k, v in kwargs.items() if k in allowed}
-    return EisensteinH3(field_, **kwargs)
+    return EisensteinH3(ImagQuadField(config.field_D), **kwargs)
 
 
 def _dim(config: ExperimentConfig) -> int:

@@ -59,7 +59,6 @@ __all__ = [
     "GammaFactorReport",
     "eis_h2",
     "eis_h2_heegner",
-    "eis_h3",
     "eis_h3_coset",
     "eis_h3_lattice",
     "gamma_factors",
@@ -470,10 +469,10 @@ def _canonical_key(w: AlgebraicInt) -> tuple[int, int]:
 
 @lru_cache(maxsize=64)
 def _h3_term_table(field_: ImagQuadField, s_key: tuple[float, float], cap: int):
-    """Per-element coefficients |omega|^s sigma_{-s}(omega), grouped data."""
+    """(omega, |omega|^s sigma_{-s}(omega), distinct norms, index of each omega's
+    norm) for norm(omega) <= cap, sorted by norm: a smaller cap's is a prefix."""
     s = complex(*s_key)
     els = enumerate_by_norm(field_, cap)
-    norms = np.array([e.norm() for e in els], dtype=float)
     zvals = np.array([e.to_complex() for e in els], dtype=complex)
     cache: dict[tuple[int, int], complex] = {}
     coeff = np.empty(len(els), dtype=complex)
@@ -483,10 +482,9 @@ def _h3_term_table(field_: ImagQuadField, s_key: tuple[float, float], cap: int):
         if got is None:
             got = cache[key] = divisor_sigma(field_, -s, e)
         coeff[i] = got
-    moduli = np.sqrt(norms)
-    coeff = coeff * np.exp(s * np.log(moduli))
-    uniq, inverse = np.unique(norms, return_inverse=True)
-    return zvals, coeff, np.sqrt(uniq), inverse
+    norms, inverse = np.unique([e.norm() for e in els], return_inverse=True)
+    coeff = coeff * np.exp(s * np.log(np.sqrt(norms[inverse].astype(float))))
+    return zvals, coeff, norms, inverse
 
 
 @dataclass(frozen=True)
@@ -576,33 +574,33 @@ class EisensteinH3:
                                  "(flip-translate reduction is incomplete for this ring)")
             logr = np.log(r)
             const = np.exp((1.0 + s) * logr) + phi * np.exp((1.0 - s) * logr)
-            # in each block, nodes sharing a norm cap share one term table and
-            # one K call (sorted sets: np.unique would import numpy.ma, +1.3 MB RSS)
+            if z.size == 0:
+                return const
+            # one term table at the largest cap; each node keeps the distinct norms
+            # up to its own cap, masked out of the block's K call and its sum
             caps = self.cap_for(r, s.imag)
-            terms = {cap: _h3_term_table(self.field, (s.real, s.imag), cap)
-                     for cap in sorted(set(caps.tolist()))}
-            widest = max((len(t[2]) for t in terms.values()), default=1)
+            zvals, coeff, norms, inverse = _h3_term_table(self.field, (s.real, s.imag),
+                                                          int(caps.max()))
+            counts = np.searchsorted(norms, caps, side="right")
+            moduli = np.sqrt(norms.astype(float))
             series = np.empty(z.size, dtype=complex)
-            for block in _blocks(z.size, widest):
-                for cap in sorted(set(caps[block].tolist())):
-                    idx = block.start + np.flatnonzero(caps[block] == cap)
-                    zvals, coeff, uniq_mod, inverse = terms[cap]
-                    xs = (4.0 * math.pi * uniq_mod) * r[idx, None] / math.sqrt(dk)
-                    kvals = _k_scaled(s, xs.ravel(), table).reshape(xs.shape)
-                    theta = (-4.0 * math.pi / math.sqrt(dk)) * (
-                        zvals.real * z[idx, None].imag + zvals.imag * z[idx, None].real)
-                    series[idx] = np.sum(coeff * kvals[:, inverse] * np.exp(1j * theta), axis=1)
+            for block in _blocks(z.size, norms.size):
+                n = int(counts[block].max())
+                m = int(np.searchsorted(inverse, n))
+                used = np.arange(n) < counts[block, None]
+                kvals = np.zeros(used.shape, dtype=complex)
+                xs = (4.0 * math.pi * moduli[:n]) * r[block, None] / math.sqrt(dk)
+                kvals[used] = _k_scaled(s, xs[used], table)
+                theta = (-4.0 * math.pi / math.sqrt(dk)) * (
+                    zvals[:m].real * z[block, None].imag + zvals[:m].imag * z[block, None].real)
+                series[block] = np.sum(coeff[:m] * kvals[:, inverse[:m]] * np.exp(1j * theta),
+                                       axis=1)
             out = const + pref * r * series
             if self.normalization == "E":
                 out = out * (self.field.unit_count / 2.0)
             return out
 
         return SeriesPlan(values)
-
-
-def eis_h3(P: PointH3, S: complex, evaluator: EisensteinH3) -> complex:
-    """Bianchi Eisenstein series through its Fourier expansion."""
-    return evaluator.value(P, S)
 
 
 def _not_divisible(du: np.ndarray, dv: np.ndarray, p: AlgebraicInt) -> np.ndarray:

@@ -144,7 +144,7 @@ class ZetaBackend:
         else:
             # EM serves as the general-purpose route; the RS integral formula
             # is kept to the critical strip where its contour analysis holds.
-            val = _hurwitz_reg(s, 1.0) + 1.0 / (s - 1.0)
+            val = hurwitz_zeta(s, 1.0)
         with self._lock:
             if len(self._cache) >= _CACHE_LIMIT:
                 del self._cache[next(iter(self._cache))]
@@ -218,11 +218,7 @@ def dirichlet_L(s: complex, d_K: int) -> complex:
 
 def dedekind_zeta(field_: ImagQuadField, s: complex) -> complex:
     """zeta_K = zeta(s) L(s, chi_{d_K}) for the imaginary quadratic field."""
-    s = complex(s)
-    if s == 1.0:
-        raise ValueError("pole at s = 1")
-    zeta_part = _hurwitz_reg(s, 1.0) + 1.0 / (s - 1.0)
-    return zeta_part * dirichlet_L(s, field_.discriminant)
+    return hurwitz_zeta(s, 1.0) * dirichlet_L(s, field_.discriminant)
 
 
 # ----------------------------------------------------------------------------
@@ -495,11 +491,16 @@ def _panel_integral(f, lo: float, hi: float, depth: int = 0) -> float:
     return _panel_integral(f, lo, mid, depth + 1) + _panel_integral(f, mid, hi, depth + 1)
 
 
-def _line_integral(f, T: float) -> float:
+def _quarter_panels(T: float) -> list[tuple[float, float]]:
+    """[0, T] cut at multiples of 1/4, the last panel ending at T."""
     edges = [0.25 * k for k in range(int(T / 0.25) + 1)]
     if edges[-1] < T - 1e-12:
         edges.append(T)
-    pieces = [_panel_integral(f, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return list(zip(edges, edges[1:]))
+
+
+def _line_integral(f, T: float) -> float:
+    pieces = [_panel_integral(f, lo, hi) for lo, hi in _quarter_panels(T)]
     return math.fsum(pieces)
 
 
@@ -533,13 +534,10 @@ def dedekind_fourth_moment(field_: ImagQuadField, T: float) -> FourthMomentResul
     if T == 0.0:
         return FourthMomentResult(0.0, 0.0)
     d_K = field_.discriminant
-    edges = [0.25 * k for k in range(int(T / 0.25) + 1)]
-    if edges[-1] < T - 1e-12:
-        edges.append(T)
     direct_parts = []
     twelfth_parts = []
     sixth_parts = []
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in _quarter_panels(T):
         u, w = gl_nodes(lo, hi, 12)
         az = np.array([abs(riemann_zeta(complex(0.5, t))) for t in u])
         al = np.array([abs(dirichlet_L(complex(0.5, t), d_K)) for t in u])

@@ -492,9 +492,15 @@ def test_main_config_error_exit_code(tmp_path, capsys):
                   "kind = variance\n    surface = h2\n    seed = 3\n    order = 1001"),
      "order ** 2 exceeds 1000000 ball nodes"),
     ("qe-scan", ("mc_count = 2000", "mc_count = 1000001"), "mc_count exceeds 1000000 ball nodes"),
+    ("qe-scan", ("y = 1.2\n", "y = 1.2\n\n    [evaluator]\n    norm_cap = 1\n"),
+     "'norm_cap' in [evaluator] does not apply to surface h2"),
+    ("qe-scan", ("[experiment]\n    kind = qe_scan\n    surface = h2",
+                 "[evaluator]\n    truncation = 1\n\n    [experiment]\n    kind = qe_scan\n"
+                 "    surface = bianchi(-1)"),
+     "'truncation' in [evaluator] does not apply to surface bianchi(-1)"),
 ], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf",
         "grid_size", "variance_window_size", "quadrature_nodes", "variance_nodes",
-        "monte_carlo_nodes"])
+        "monte_carlo_nodes", "norm_cap_on_h2", "truncation_on_bianchi"])
 def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, command,
                                                 edit, message):
     # a non-finite or oversized grid would hang or exhaust memory in

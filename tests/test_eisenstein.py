@@ -13,7 +13,6 @@ from quelab.eisenstein import (
     GammaFactorReport,
     eis_h2,
     eis_h2_heegner,
-    eis_h3,
     eis_h3_coset,
     eis_h3_lattice,
     gamma_factors,
@@ -179,8 +178,6 @@ def test_h3_guards():
         EisensteinH3(field=QI, normalization="full")
     with pytest.raises(ValueError):
         EisensteinH3(field=QI, norm_cap=2)
-    with pytest.raises(ValueError):
-        eis_h3(P, 2.0, ev)
 
 
 @pytest.mark.parametrize("dim, center, t", [
@@ -305,6 +302,46 @@ def test_block_values_do_not_depend_on_block_size(monkeypatch, ev, center, t):
     one_node_blocks = ev.plan(s).values(*nodes)
     assert calls == per_node
     assert np.max(np.abs(one_node_blocks - default)) <= 1e-13 * np.max(np.abs(default))
+
+
+@pytest.mark.parametrize("ev, center, t", BLOCK_CASES[2:], ids=["gauss_table", "d43_cosh"])
+def test_h3_values_build_one_term_table(monkeypatch, ev, center, t):
+    """Nodes of several norm caps share the term table of the largest cap."""
+    s, nodes, _, truncation = _block_case(ev, center, t)
+    assert len(set(truncation.tolist())) >= 2
+    calls = []
+    _h3_term_table = eisenstein._h3_term_table
+
+    def counted(field_, s_key, cap):
+        calls.append(cap)
+        return _h3_term_table(field_, s_key, cap)
+
+    monkeypatch.setattr(eisenstein, "_h3_term_table", counted)
+    ev.plan(s).values(*nodes)
+    assert calls == [int(truncation.max())]
+
+
+def test_values_of_no_nodes_are_empty():
+    z = np.zeros(0, dtype=complex)
+    assert EisensteinH2().plan(complex(0.5, 12.0)).values(z).shape == (0,)
+    assert EisensteinH3(field=QI).plan(complex(1.0, 9.0)).values(z, np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("tau", [2.0, 8.0, 13.0, 40.0, 80.0])
+def test_balanced_k_route_matches_mpmath(tau):
+    """`_k_scaled_batch`, one argument per call and all in one batch, and
+    from tau = 8 on `_KTable`, in absolute error on the scaled K."""
+    mpmath = pytest.importorskip("mpmath")
+    nu = complex(0.0, tau)
+    xs = np.array([1.0, 2.5, 7.0, tau / 2.0 + 1.0, tau, 1.5 * tau + 3.0, 120.0, 250.0])
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.exp(mpmath.pi * tau / 2) * mpmath.besselk(nu, x))
+                         for x in xs])
+    single = np.concatenate([_k_scaled_batch(nu, xs[i:i + 1]) for i in range(xs.size)])
+    assert np.max(np.abs(single - want)) <= 5e-14
+    assert np.max(np.abs(_k_scaled_batch(nu, xs) - want)) <= 5e-14
+    if tau >= 8.0:
+        assert np.max(np.abs(_KTable(nu)(xs) - want)) <= 5e-14
 
 
 def test_gamma_factors_report_shape():
