@@ -41,7 +41,6 @@ from .lattice import _CLASS_NUMBER_ONE, _factor_int, _prime_above
 from .selberg import BallKernel, h_char
 from .specfun import bessel_K_many, log_gamma
 from .zeta import (
-    EpsteinForm,
     dedekind_zeta,
     dirichlet_L,
     epstein_Z,
@@ -87,7 +86,7 @@ def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
         K_nu(x) = sec(nu pi/2) int_0^inf cos(x v) cosh(nu asinh v) (1+v^2)^{-1/2} dv
 
     with a Gauss-Legendre core on [0, v0] containing every stationary point
-    and the four oscillatory tail pieces e^{+-ixv} w^{+-nu} pushed onto
+    and the two oscillatory tail pieces e^{+-ixv} cosh(nu log w) pushed onto
     vertical contours, where they decay at least like e^{-x u / 2}.  The
     sec factor carries the entire e^{-pi|Im nu|/2} smallness, so the returned
     values are free of exponential cancellation.
@@ -125,7 +124,7 @@ def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
     panels = int(max(total_phase, 0.5 * (tau + x_max) * v0) / 8.0) + 2
     v, wv = panel_nodes(0.0, v0, panels, 24)
     lw = np.arcsinh(v)
-    g = 0.5 * (np.exp(nu * lw) + np.exp(-nu * lw)) / np.sqrt(1.0 + v * v)
+    g = np.cosh(nu * lw) / np.sqrt(1.0 + v * v)
     vals = np.cos(np.outer(xs, v)) @ (wv * g)
 
     # tail: |integrand| <= e^{-x u / 2} since tau / v0 <= x_min / 2; panel
@@ -149,9 +148,8 @@ def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
         root = np.sqrt(1.0 + ve * ve)
         logw = np.log(ve + root)
         swing = np.exp(1j * eps * v0 * xs) * (1j * eps)
-        for delta in (1.0, -1.0):
-            f = np.exp(delta * nu * logw) / (4.0 * root)
-            vals = vals + swing * (decay @ (wu * f))
+        f = np.cosh(nu * logw) / (2.0 * root)
+        vals = vals + swing * (decay @ (wu * f))
 
     sec_scaled = 2.0 / (cmath.exp(-0.5j * math.pi * sig)
                         + cmath.exp(0.5j * math.pi * sig) * math.exp(-math.pi * tau))
@@ -423,7 +421,7 @@ def eis_h2_heegner(point: HeegnerPoint, s: complex) -> complex:
     if fields:
         form_zeta = fields[0].unit_count * riemann_zeta(s) * dirichlet_L(s, point.d)
     else:
-        form_zeta = epstein_Z(EpsteinForm(BinaryQuadraticForm(point.c, -point.b, point.a)), s)
+        form_zeta = epstein_Z(BinaryQuadraticForm(point.c, -point.b, point.a), s)
     ay = point.a * point.z.y  # = sqrt(|d|) / 2
     return cmath.exp(s * math.log(ay)) * form_zeta / (2.0 * riemann_zeta(2.0 * s))
 

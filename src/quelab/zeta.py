@@ -1,19 +1,19 @@
 """Zeta and L-functions on the critical strip, plus moment integrals.
 
 Two independent zeta backends (Euler-Maclaurin and the Riemann-Siegel
-integral formula) cross-check each other.  Epstein zeta functions are
-continued by the incomplete-gamma (theta) splitting, which is manifestly
-symmetric under s -> 1-s.  Moment integrals use composite Gauss-Legendre
-panels; the Dedekind fourth moment shares quadrature nodes between the
-direct integral and its Holder majorant so the inequality is exact even
-discretely.
+integral formula) cross-check each other.  Epstein zeta functions of every
+rank are continued by one incomplete-gamma (theta) splitting,
+`epstein_lattice_sum`, which is manifestly symmetric under s -> n/2 - s; a
+binary form goes through it on its Gram matrix (`epstein_Z`).  Moment
+integrals use composite Gauss-Legendre panels; the Dedekind fourth moment
+shares quadrature nodes between the direct integral and its Holder majorant
+so the inequality is exact even discretely.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +25,6 @@ from .specfun import log_gamma
 
 __all__ = [
     "ZetaBackend",
-    "EpsteinForm",
     "FourthMomentResult",
     "riemann_zeta",
     "hurwitz_zeta",
@@ -170,9 +169,6 @@ def riemann_zeta(s: complex) -> complex:
     return _DEFAULT_BACKEND.zeta(s)
 
 
-_FUNDAMENTAL_CACHE: dict[int, bool] = {}
-
-
 def _squarefree(n: int) -> bool:
     d = 2
     while d * d <= n:
@@ -185,16 +181,9 @@ def _squarefree(n: int) -> bool:
 def _is_fundamental(d: int) -> bool:
     if d >= -2:
         return False
-    got = _FUNDAMENTAL_CACHE.get(d)
-    if got is None:
-        if d % 4 == 1:
-            got = _squarefree(-d)
-        elif d % 4 == 0 and (d // 4) % 4 in (2, 3):
-            got = _squarefree(-(d // 4))
-        else:
-            got = False
-        _FUNDAMENTAL_CACHE[d] = got
-    return got
+    if d % 4 == 1:
+        return _squarefree(-d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and _squarefree(-(d // 4))
 
 
 def dirichlet_L(s: complex, d_K: int) -> complex:
@@ -297,39 +286,6 @@ def upper_gamma(s: complex, x: float) -> complex:
     return _upper_gamma_series(s, x)
 
 
-@dataclass(frozen=True)
-class EpsteinForm:
-    Q: BinaryQuadraticForm
-
-    @property
-    def determinant(self) -> float:
-        # Gram determinant (4ac - b^2)/4 of the half-integral matrix
-        return -self.Q.discriminant / 4.0
-
-
-def _form_value_counts(a: int, b: int, c: int, bound: float) -> Counter:
-    """Multiplicities of values of ax^2+bxy+cy^2 on Z^2 minus 0, up to bound."""
-    counts: Counter = Counter()
-    absdisc = 4 * a * c - b * b
-    if bound < min(a, c):
-        return counts
-    ymax = math.isqrt(int(4 * a * bound / absdisc))
-    for y in range(-ymax, ymax + 1):
-        disc = 4.0 * a * bound - absdisc * y * y
-        if disc < 0:
-            continue
-        root = math.sqrt(disc)
-        lo = math.ceil((-b * y - root) / (2 * a))
-        hi = math.floor((-b * y + root) / (2 * a))
-        for x in range(lo, hi + 1):
-            if x == 0 and y == 0:
-                continue
-            v = a * x * x + b * x * y + c * y * y
-            if v <= bound:
-                counts[v] += 1
-    return counts
-
-
 def _gamma_cutoff(sigma_max: float, target: float = 45.0) -> float:
     X = target
     for _ in range(6):
@@ -337,47 +293,16 @@ def _gamma_cutoff(sigma_max: float, target: float = 45.0) -> float:
     return X
 
 
-def epstein_Z(form: EpsteinForm, s: complex) -> complex:
-    """Z(s, Q) = sum over nonzero (m, n) of Q(m, n)^{-s}, continued to all s.
+def _lattice_values(A: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values x^T A x <= bound over nonzero x in Z^n, with multiplicities.
 
-    Theta splitting at T = 1/sqrt(det) keeps the two incomplete-gamma sums
-    symmetric under s -> 1-s.  float64 cancellation in the completed
-    function limits useful accuracy to roughly |Im s| <= 15; every consumer
-    in this package stays well inside that.
+    The points come from a Fincke-Pohst walk; each value is then recomputed
+    as x^T A x from the integer point, which is exact when A has integer and
+    half-integer entries (the Gram matrix of an integral binary form).
     """
-    s = complex(s)
-    if abs(s) < 1e-12 or abs(s - 1.0) < 1e-12:
-        raise ValueError("s = 0 and s = 1 are excluded")
-    Q = form.Q
-    delta = form.determinant
-    T = 1.0 / math.sqrt(delta)
-    X = _gamma_cutoff(max(abs(s.real), abs(1.0 - s.real)) + 1.0)
-
-    direct = 0.0 + 0.0j
-    for v, cnt in sorted(_form_value_counts(Q.a, Q.b, Q.c, X / (math.pi * T)).items()):
-        pv = math.pi * v
-        direct += cnt * cmath.exp(-s * math.log(pv)) * upper_gamma(s, pv * T)
-
-    dual = 0.0 + 0.0j
-    # adjoint integer form (c, -b, a) evaluates delta * Q^*(x)
-    for w, cnt in sorted(_form_value_counts(Q.c, -Q.b, Q.a, X * delta * T / math.pi).items()):
-        pw = math.pi * w / delta
-        dual += cnt * cmath.exp((s - 1.0) * math.log(pw)) * upper_gamma(1.0 - s, pw / T)
-
-    lam = (
-        -cmath.exp(s * math.log(T)) / s
-        - cmath.exp((s - 1.0) * math.log(T)) / ((1.0 - s) * math.sqrt(delta))
-        + direct
-        + dual / math.sqrt(delta)
-    )
-    return cmath.exp(s * math.log(math.pi) - log_gamma(s)) * lam
-
-
-def _lattice_points_below(A: np.ndarray, bound: float) -> list[tuple[tuple[int, ...], float]]:
-    """Nonzero integer vectors with x^T A x <= bound (Fincke-Pohst walk)."""
     n = A.shape[0]
     R = np.linalg.cholesky(A).T  # upper triangular, Q(x) = |R x|^2
-    out: list[tuple[tuple[int, ...], float]] = []
+    points: list[tuple[int, ...]] = []
     x = [0] * n
 
     def rec(i: int, rem: float) -> None:
@@ -392,19 +317,23 @@ def _lattice_points_below(A: np.ndarray, bound: float) -> list[tuple[tuple[int, 
                 continue
             if i == 0:
                 if any(x):
-                    out.append((tuple(x), bound - (rem - y)))
+                    points.append(tuple(x))
             else:
                 rec(i - 1, rem - y)
         x[i] = 0
 
     rec(n - 1, bound)
-    return out
+    P = np.array(points, dtype=float).reshape(-1, n)
+    return np.unique(np.einsum("ij,jk,ik->i", P, A, P), return_counts=True)
 
 
 def epstein_lattice_sum(A: np.ndarray, s: complex) -> complex:
-    """Z(s; A) = sum over nonzero x in Z^n of (x^T A x)^{-s}, continued.
+    """Z(s; A) = sum over nonzero x in Z^n of (x^T A x)^{-s}, continued to all s.
 
-    Same theta splitting as the binary case, split point T = det(A)^{-1/n}.
+    Theta splitting at T = det(A)^{-1/n} keeps the two incomplete-gamma sums
+    symmetric under s -> n/2 - s.  float64 cancellation in the completed
+    function limits useful accuracy to roughly |Im s| <= 15; every consumer
+    in this package stays well inside that.
     """
     s = complex(s)
     A = np.asarray(A, dtype=float)
@@ -420,15 +349,16 @@ def epstein_lattice_sum(A: np.ndarray, s: complex) -> complex:
     X = _gamma_cutoff(max(abs(s.real), abs(n / 2.0 - s.real)) + 1.0)
 
     direct = 0.0 + 0.0j
-    for _, q in _lattice_points_below(A, X / (math.pi * T)):
+    values, counts = _lattice_values(A, X / (math.pi * T))
+    for q, cnt in zip(values.tolist(), counts.tolist()):
         pq = math.pi * q
-        direct += cmath.exp(-s * math.log(pq)) * upper_gamma(s, pq * T)
+        direct += cnt * cmath.exp(-s * math.log(pq)) * upper_gamma(s, pq * T)
 
-    Ainv = np.linalg.inv(A)
     dual = 0.0 + 0.0j
-    for _, q in _lattice_points_below(Ainv, X * T / math.pi):
+    values, counts = _lattice_values(np.linalg.inv(A), X * T / math.pi)
+    for q, cnt in zip(values.tolist(), counts.tolist()):
         pq = math.pi * q
-        dual += cmath.exp((s - n / 2.0) * math.log(pq)) * upper_gamma(n / 2.0 - s, pq / T)
+        dual += cnt * cmath.exp((s - n / 2.0) * math.log(pq)) * upper_gamma(n / 2.0 - s, pq / T)
 
     lam = (
         -cmath.exp(s * math.log(T)) / s
@@ -437,6 +367,14 @@ def epstein_lattice_sum(A: np.ndarray, s: complex) -> complex:
         + dual / math.sqrt(detA)
     )
     return cmath.exp(s * math.log(math.pi) - log_gamma(s)) * lam
+
+
+def epstein_Z(Q: BinaryQuadraticForm, s: complex) -> complex:
+    """Z(s, Q) = sum over nonzero (m, n) of Q(m, n)^{-s}, continued to all s.
+
+    The lattice sum on the Gram matrix [[a, b/2], [b/2, c]] of Q.
+    """
+    return epstein_lattice_sum(np.array([[Q.a, Q.b / 2.0], [Q.b / 2.0, Q.c]]), s)
 
 
 # ----------------------------------------------------------------------------

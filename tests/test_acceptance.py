@@ -34,7 +34,6 @@ from quelab.lattice import (
 from quelab.mass import ball_mass, bianchi_volume, mean_value_residual
 from quelab.selberg import BallKernel, h_bessel_asym, h_char, h_closed_h3
 from quelab.zeta import (
-    EpsteinForm,
     dirichlet_L,
     epstein_Z,
     riemann_zeta,
@@ -195,7 +194,7 @@ def test_criterion_08_divisor_sums_exact_and_square_form_factorizes():
             assert round(s1.real) == total, (D, w.u, w.v)
             checked += 1
 
-    form = EpsteinForm(BinaryQuadraticForm(1, 0, 1))
+    form = BinaryQuadraticForm(1, 0, 1)
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(20):

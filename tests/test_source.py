@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SRC = sorted((Path(__file__).parent.parent / "src" / "quelab").glob("*.py"))
+_ROOT = Path(__file__).parent.parent
+_SRC = sorted((_ROOT / "src" / "quelab").glob("*.py"))
 
 
 def _exports(tree: ast.Module) -> list[str]:
@@ -78,3 +82,37 @@ def test_export_check_sees_stale_names():
     tree = ast.parse("from .a import b\nc, d = 1, 2\nK: int = 3\nclass E: pass\n"
                      "def f(): g = 1\n__all__ = ['b', 'c', 'd', 'K', 'E', 'f', 'g', 'Gone']\n")
     assert _stale_exports(tree) == ["g", "Gone"]
+
+
+# Installs perfbench's tracer in a fresh interpreter and prints the bindings
+# it could not find; `prepare` runs after the import, before the install.
+_TRACER_PROBE = """
+import json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import quelab.cli
+from tracing import Tracer
+{prepare}
+tracer = Tracer()
+tracer.install()
+print(json.dumps(tracer.missing))
+"""
+
+
+def _missing_bindings(prepare: str = "") -> list[str]:
+    code = _TRACER_PROBE.format(perfbench=str(_ROOT / "perfbench"), src=str(_ROOT / "src"),
+                                prepare=prepare)
+    done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_perfbench_tracer_finds_every_binding():
+    # the benchmark's per-layer metrics patch these names; a rename or a
+    # deleted import would otherwise only show up as a benchmark warning
+    assert _missing_bindings() == []
+
+
+def test_binding_check_sees_a_deleted_binding():
+    missing = _missing_bindings("import quelab.selberg\ndel quelab.selberg.ball_quadrature")
+    assert missing == ["geometry.ball_quadrature@quelab.selberg"]

@@ -119,6 +119,22 @@ def test_bessel_k_matches_mpmath():
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (nu, x, abs(got - want))
 
 
+@pytest.mark.parametrize("tau", [2.0, 4.0, 5.0, 6.0, 7.0, 7.5, 7.9])
+def test_cosh_k_route_matches_mpmath_below_switch(tau):
+    """`bessel_K_many(i tau, x)` on the orders the series sends to the cosh
+    integral, one argument per call and all in one batch, within 2e-16
+    absolute on K: the balanced series multiplies K by e^{pi tau / 2}, so
+    this is 2e-16 e^{pi tau / 2} on the scaled K it feeds."""
+    mpmath = pytest.importorskip("mpmath")
+    nu = complex(0.0, tau)
+    xs = np.geomspace(0.9, 120.0, 30)
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.besselk(nu, x)) for x in xs])
+    single = np.concatenate([bessel_K_many(nu, xs[i:i + 1]) for i in range(xs.size)])
+    assert np.max(np.abs(single - want)) <= 2e-16
+    assert np.max(np.abs(bessel_K_many(nu, xs) - want)) <= 2e-16
+
+
 def test_bessel_k_many_matches_scalar():
     xs = np.array([0.5, 1.0, 3.0, 8.0])
     batch = bessel_K_many(2.5j, xs)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from quelab import zeta
-from quelab.lattice import BinaryQuadraticForm, ImagQuadField
+from quelab.lattice import BinaryQuadraticForm, ImagQuadField, repr_count
 from quelab.specfun import log_gamma
 from quelab.zeta import (
     _hurwitz_reg,
-    EpsteinForm,
+    _lattice_values,
     ZetaBackend,
     dedekind_fourth_moment,
     dedekind_zeta,
@@ -123,8 +123,7 @@ def test_dedekind_residue_all_fields():
 
 
 def test_epstein_square_form_value():
-    F = EpsteinForm(BinaryQuadraticForm(1, 0, 1))
-    got = epstein_Z(F, 2.0)
+    got = epstein_Z(BinaryQuadraticForm(1, 0, 1), 2.0)
     assert got.real == pytest.approx(6.02681203969193, abs=1e-10)
     composed = 4.0 * riemann_zeta(2.0) * dirichlet_L(2.0, -4)
     assert abs(got - composed) < 1e-10
@@ -137,26 +136,25 @@ def test_epstein_matches_direct_sum():
         q = (a * m * m + b * m * n + c * n * n).astype(float)
         mask = q > 0
         direct = np.sum(q[mask] ** -s)
-        got = epstein_Z(EpsteinForm(BinaryQuadraticForm(a, b, c)), s)
+        got = epstein_Z(BinaryQuadraticForm(a, b, c), s)
         assert abs(got - direct) < 1e-6
 
 
 def test_epstein_functional_equation():
-    def completed(form: EpsteinForm, s: complex) -> complex:
-        a, b, c = form.Q.a, form.Q.b, form.Q.c
-        delta = (4 * a * c - b * b) / 4.0
+    def completed(form: BinaryQuadraticForm, s: complex) -> complex:
+        delta = -form.discriminant / 4.0
         return cmath.exp(0.5 * s * math.log(delta) - s * math.log(math.pi)
                          + log_gamma(s)) * epstein_Z(form, s)
 
     s = 0.3 + 5.0j
     for (a, b, c) in ((1, 0, 1), (2, 1, 3)):
-        F = EpsteinForm(BinaryQuadraticForm(a, b, c))
+        F = BinaryQuadraticForm(a, b, c)
         lhs, rhs = completed(F, s), completed(F, 1.0 - s)
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
 def test_epstein_domain():
-    F = EpsteinForm(BinaryQuadraticForm(1, 0, 1))
+    F = BinaryQuadraticForm(1, 0, 1)
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError):
             epstein_Z(F, bad)
@@ -171,13 +169,34 @@ def test_epstein_lattice_sum_rank4_identity():
 
 
 def test_epstein_lattice_sum_rank2_consistency():
+    # sum over Z^2 of (m^2 + n^2)^{-s} = 4 zeta(s) L(s, chi_{-4})
     got = epstein_lattice_sum(np.eye(2), 1.7)
-    want = epstein_Z(EpsteinForm(BinaryQuadraticForm(1, 0, 1)), 1.7)
+    want = 4.0 * riemann_zeta(1.7) * dirichlet_L(1.7, -4)
     assert abs(got - want) < 1e-9 * abs(want)
     with pytest.raises(ValueError):
         epstein_lattice_sum(np.eye(4), 2.0)
     with pytest.raises(ValueError):
         epstein_lattice_sum(np.eye(4), 0.0)
+
+
+def test_lattice_values_count_representations():
+    for (a, b, c) in ((1, 0, 1), (2, 1, 3), (1, 1, 7)):
+        Q = BinaryQuadraticForm(a, b, c)
+        values, counts = _lattice_values(np.array([[a, b / 2.0], [b / 2.0, c]]), 60.0)
+        assert np.all(values == np.round(values)), (a, b, c)
+        got = dict(zip(values.astype(int).tolist(), counts.tolist()))
+        want = {m: repr_count(Q, m) for m in range(1, 61) if repr_count(Q, m)}
+        assert got == want, (a, b, c)
+
+
+def test_epstein_one_class_forms_factor():
+    # the principal form of a one-class discriminant d with two units has
+    # Z(s) = 2 zeta(s) L(s, chi_d), across the strip and up to Im s = 8
+    for (a, b, c) in ((1, 1, 2), (1, 0, 2), (1, 1, 3), (1, 1, 5)):
+        Q = BinaryQuadraticForm(a, b, c)
+        for s in (2.3, 0.5 + 3j, 0.3 + 5j, 0.5 + 8j):
+            want = 2.0 * riemann_zeta(s) * dirichlet_L(s, Q.discriminant)
+            assert abs(epstein_Z(Q, s) - want) <= 1e-11 * abs(want), ((a, b, c), s)
 
 
 def test_scattering_phi_q_unitary():
