@@ -124,9 +124,12 @@ def _get(section, key, conv, default=None, required=False):
             raise ConfigError(f"missing required key '{key}' in [{section.name}]")
         return default
     try:
-        return conv(section[key])
+        value = conv(section[key])
     except ValueError as exc:
         raise ConfigError(f"bad value for '{key}' in [{section.name}]: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return value
 
 
 def load_config(path: str, kind_override: str | None = None,
@@ -177,9 +180,6 @@ def load_config(path: str, kind_override: str | None = None,
         _get(grid, "t_stop", float, required=True),
         _get(grid, "t_step", float, required=True),
     )
-    for key, value in zip(("t_start", "t_stop", "t_step"), t_grid):
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
     if t_grid[2] <= 0.0:
         raise ConfigError("t_step must be positive")
     if (t_grid[1] - t_grid[0]) / t_grid[2] >= MAX_GRID_POINTS:
@@ -207,18 +207,20 @@ def load_config(path: str, kind_override: str | None = None,
     center: object = None
     if "center" in parser:
         cen = parser["center"]
-        if kind == "omega_scan":
-            a = _get(cen, "a", int, required=True)
-            b = _get(cen, "b", int, required=True)
-            c = _get(cen, "c", int, required=True)
-            center = HeegnerPoint(a, b, c)
-        elif surface == "h2":
-            center = PointH2(_get(cen, "x", float, required=True),
-                             _get(cen, "y", float, required=True))
-        else:
-            center = PointH3(complex(_get(cen, "x", float, required=True),
-                                     _get(cen, "y", float, required=True)),
-                             _get(cen, "r", float, required=True))
+        try:
+            if kind == "omega_scan":
+                center = HeegnerPoint(_get(cen, "a", int, required=True),
+                                      _get(cen, "b", int, required=True),
+                                      _get(cen, "c", int, required=True))
+            elif surface == "h2":
+                center = PointH2(_get(cen, "x", float, required=True),
+                                 _get(cen, "y", float, required=True))
+            else:
+                center = PointH3(complex(_get(cen, "x", float, required=True),
+                                         _get(cen, "y", float, required=True)),
+                                 _get(cen, "r", float, required=True))
+        except ValueError as exc:
+            raise ConfigError(f"bad [center]: {exc}") from exc
     elif kind in ("omega_scan", "qe_scan", "variance", "eval"):
         raise ConfigError(f"kind {kind!r} needs a [center] section")
 
@@ -258,6 +260,9 @@ def load_config(path: str, kind_override: str | None = None,
     moment_k = _get(exp, "moment_k", int, default=2)
     if moment_k not in (2, 6):
         raise ConfigError("moment_k must be 2 or 6")
+    kernel_dim = _get(exp, "kernel_dim", int, default=3)
+    if kernel_dim < 2:
+        raise ConfigError("kernel_dim must be >= 2")
     variance_step = _get(exp, "variance_step", float, default=0.25)
     if not 0.0 < variance_step <= 0.5:
         raise ConfigError("variance_step must lie in (0, 0.5]")
@@ -278,7 +283,7 @@ def load_config(path: str, kind_override: str | None = None,
         method=method,
         mc_count=mc_count,
         moment_k=moment_k,
-        kernel_dim=_get(exp, "kernel_dim", int, default=3),
+        kernel_dim=kernel_dim,
         variance_step=variance_step,
         evaluator_overrides=overrides,
     )

@@ -6,8 +6,9 @@ eigenfunction with spectral parameter t as multiplication by
     h(t) = I(t) / I(t0),    I(t) = integral_0^R (cosh R - cosh u)^{(n-1)/2} cos(tu) du,
 
 with t0 = i(n-1)/2 the parameter of the constant eigenfunction, so h(t0) = 1
-by construction.  Three routes: direct quadrature (with a Filon-type scheme
-once Rt is large), the H^3 closed form, and the small-R Bessel asymptotic.
+by construction.  Three routes: Gauss-Legendre quadrature of I(t) (in
+panels once Rt is large), the H^3 closed form, and the small-R Bessel
+asymptotic.
 """
 from __future__ import annotations
 
@@ -17,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gauss_legendre, gl_nodes
+from ._quad import panel_nodes
 from .geometry import GeodesicBall, ball_quadrature, ball_volume
 from .specfun import bessel_J
 
 __all__ = [
     "BallKernel",
-    "SpectralParameter",
     "h_char",
     "h_closed_h3",
     "h_bessel_asym",
@@ -43,33 +43,20 @@ class BallKernel:
             raise ValueError("radius must be positive")
 
 
-@dataclass(frozen=True)
-class SpectralParameter:
-    """t with eigenvalue ((n-1)/2)^2 + t^2; constants sit at t = i(n-1)/2."""
-
-    t: complex
-
-    def __post_init__(self) -> None:
-        t = complex(self.t)
-        if t.imag < -1e-12 or t.imag > 4.0 + 1e-12:
-            raise ValueError("Im t must lie in the strip [0, (n-1)/2], n <= 9")
-
-
-def _as_t(t) -> complex:
-    return complex(t.t) if isinstance(t, SpectralParameter) else complex(t)
-
-
 # ----------------------------------------------------------------------------
 # Direct quadrature of I(t).  The substitution u = R(1 - x^2) makes the
 # integrand analytic: (cosh R - cosh u)^m = x^{2m} g(x^2)^m with g > 0.
+# Past _PANEL_CAP nodes the rule is split into equal panels, because one
+# long Gauss-Legendre rule costs more than n^2 to build (_quad.gauss_legendre);
+# up to _PANEL_CAP nodes (R*t <= 57) it is a single rule.
+
+_PANEL_CAP = 128
 
 
-def _amplitude_integral_smooth(R: float, m: float, t: complex) -> complex:
-    freq = abs(t.real) * R
-    nodes = int(1.4 * freq) + 48
-    x, w = gauss_legendre(nodes)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+def _amplitude_integral(R: float, m: float, t: complex) -> complex:
+    nodes = int(1.4 * (abs(t.real) * R)) + 48
+    panels = -(-nodes // _PANEL_CAP)
+    x, w = panel_nodes(0.0, 1.0, panels, -(-nodes // panels))
     u = R * (1.0 - x * x)
     amp = np.power(math.cosh(R) - np.cosh(u), m) * (2.0 * R * x)
     if t.imag == 0.0 and t.real >= 0.0:
@@ -78,64 +65,27 @@ def _amplitude_integral_smooth(R: float, m: float, t: complex) -> complex:
     return complex(np.dot(amp * phase, w))
 
 
-# Filon panels: degree-7 interpolation at Chebyshev points, exact moments.
-_FILON_SIGMA = 0.5 * (1.0 - np.cos(np.arange(8) * math.pi / 7.0))
-_FILON_VINV = np.linalg.inv(np.vander(_FILON_SIGMA, 8, increasing=True))
-
-
-def _filon_moments(theta: float, phi: float) -> np.ndarray:
-    """C_k = integral_0^1 sigma^k cos(theta sigma + phi) d sigma, k = 0..7."""
-    C = np.empty(8)
-    S = np.empty(8)
-    sin_top = math.sin(theta + phi)
-    cos_top = math.cos(theta + phi)
-    C[0] = (sin_top - math.sin(phi)) / theta
-    S[0] = (math.cos(phi) - cos_top) / theta
-    for k in range(1, 8):
-        C[k] = sin_top / theta - k * S[k - 1] / theta
-        S[k] = -cos_top / theta + k * C[k - 1] / theta
-    return C
-
-
-def _amplitude_integral_filon(R: float, m: float, t: float) -> float:
-    # oscillatory main piece on [0, R - delta], square-root tail on the rest
-    delta = min(0.5 * R, 4.0 * math.pi / t)
-    right = R - delta
-    h = math.pi / t
-    npanels = max(1, math.ceil(right / h))
-    h = right / npanels
-    cosh_R = math.cosh(R)
-    total = 0.0
-    for j in range(npanels):
-        a = j * h
-        u = a + h * _FILON_SIGMA
-        amp = np.power(cosh_R - np.cosh(u), m)
-        coeffs = _FILON_VINV @ amp
-        total += h * float(np.dot(coeffs, _filon_moments(t * h, t * a)))
-    # v = R - u = w^2 removes the (R - u)^m endpoint behavior for all m
-    wmax = math.sqrt(delta)
-    x, wq = gl_nodes(0.0, wmax, 48)
-    amp = np.power(cosh_R - np.cosh(R - x * x), m) * (2.0 * x)
-    total += float(np.dot(amp * np.cos(t * (R - x * x)), wq))
-    return total
-
-
-def _amplitude_integral(R: float, m: float, t: complex) -> complex:
-    if t.imag == 0.0 and abs(t.real) * R > 50.0:
-        return _amplitude_integral_filon(R, m, abs(t.real))
-    return _amplitude_integral_smooth(R, m, t)
-
-
 def h_char(kernel: BallKernel, t) -> complex:
-    """Selberg transform of the ball kernel, normalized so h(i(n-1)/2) = 1."""
-    tv = _as_t(t)
+    """Selberg transform of the ball kernel, normalized so h(i(n-1)/2) = 1.
+
+    Raises ArithmeticError when the amplitude under- or overflows (very
+    large n), instead of returning a NaN.
+    """
+    tv = complex(t)
     half = 0.5 * (kernel.n - 1)
     if tv.imag > half + 1e-9:
         raise ValueError("spectral parameter outside the admitted strip")
     m = half  # exponent (n-1)/2 of the amplitude
-    denom = _amplitude_integral(kernel.R, m, complex(0.0, half))
-    num = _amplitude_integral(kernel.R, m, tv)
-    return num / denom
+    # an overflow or invalid value anywhere ends in a non-finite h, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = _amplitude_integral(kernel.R, m, complex(0.0, half))
+        num = _amplitude_integral(kernel.R, m, tv)
+    if denom == 0.0:
+        raise ArithmeticError(f"ball-kernel normalization underflows to 0 for n = {kernel.n}")
+    h = num / denom
+    if not cmath.isfinite(h):
+        raise ArithmeticError(f"ball-kernel transform is not finite for n = {kernel.n}")
+    return h
 
 
 def h_closed_h3(R: float, t) -> complex:

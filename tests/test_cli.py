@@ -475,6 +475,14 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert err.startswith("config error: unknown key 'bogus'")
 
 
+def _assert_config_error(tmp_path, capsys, command, text, message):
+    rc = main([command, "--config", _write(tmp_path, text), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, edit, message", [
     ("qe-scan", ("order = 12", "order = 1"), "order must be >= 2"),
     ("qe-scan", ("mc_count = 2000", "mc_count = 999"), "monte_carlo needs mc_count >= 1000"),
@@ -509,12 +517,52 @@ def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, co
     def no_grid(self):
         raise RuntimeError("grid expanded after a bad config was accepted")
     monkeypatch.setattr(ExperimentConfig, "t_values", no_grid)
-    path = _write(tmp_path, _QE_MC.replace(*edit))
-    rc = main([command, "--config", path, "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}")
-    assert err.count("\n") == 1
+    _assert_config_error(tmp_path, capsys, command, _QE_MC.replace(*edit), message)
+
+
+# every float key, each with the edits that put it into _QE_MC
+_FLOAT_KEYS = {
+    "t_start": [("t_start = 5.0", "t_start = {}")],
+    "t_stop": [("t_stop = 9.0", "t_stop = {}")],
+    "t_step": [("t_step = 2.0", "t_step = {}")],
+    "variance_step": [("seed = 3", "seed = 3\n    variance_step = {}")],
+    "r": [("r = 0.4", "r = {}")],
+    "delta": [("rule = fixed\n    r = 0.4", "rule = power\n    delta = {}")],
+    "a": [("rule = fixed\n    r = 0.4", "rule = planck\n    a = {}")],
+    "x": [("x = 0.1", "x = {}")],
+    "y": [("y = 1.2", "y = {}")],
+    "center_r": [("surface = h2", "surface = bianchi(-1)"), ("y = 1.2", "y = 1.2\n    r = {}")],
+    "abs_tol": [("y = 1.2\n", "y = 1.2\n\n    [evaluator]\n    abs_tol = {}\n")],
+    "height_floor": [("y = 1.2\n", "y = 1.2\n\n    [evaluator]\n    height_floor = {}\n")],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+def test_main_rejects_non_finite_float_keys(tmp_path, capsys, key, value):
+    text = _QE_MC
+    for old, new in _FLOAT_KEYS[key]:
+        assert old in text
+        text = text.replace(old, new.format(value))
+    name = key.removeprefix("center_")
+    _assert_config_error(tmp_path, capsys, "qe-scan", text, f"{name} must be finite, got {value}")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("qe-scan", _QE_MC.replace("y = 1.2", "y = -1"),
+     "bad [center]: PointH2 needs positive height y"),
+    ("qe-scan", _QE_MC.replace("surface = h2", "surface = bianchi(-1)")
+     .replace("y = 1.2", "y = 0.2\n    r = 0"),
+     "bad [center]: PointH3 needs positive height r"),
+    ("omega-scan", _QE_MC.replace("kind = qe_scan", "kind = omega_scan")
+     .replace("x = 0.1\n    y = 1.2", "a = 1\n    b = 3\n    c = 1"),
+     "bad [center]: form must be positive definite"),
+    ("selberg-check", _QE_MC.replace("kind = qe_scan", "kind = selberg_check\n    kernel_dim = 1"),
+     "kernel_dim must be >= 2"),
+], ids=["h2_height", "bianchi_height", "indefinite_form", "kernel_dim"])
+def test_main_rejects_bad_center_and_kernel_dim(tmp_path, capsys, command, text, message):
+    # the point and form constructors' ValueError becomes a config error
+    _assert_config_error(tmp_path, capsys, command, text, message)
 
 
 @pytest.mark.parametrize("text", [

@@ -8,7 +8,6 @@ import pytest
 from quelab.geometry import GeodesicBall, PointH2, PointH3
 from quelab.selberg import (
     BallKernel,
-    SpectralParameter,
     h_bessel_asym,
     h_char,
     h_closed_h3,
@@ -25,14 +24,6 @@ def test_normalization_at_constant_eigenvalue():
         t0 = 1j * (n - 1) / 2.0
         for R in (0.05, 0.5):
             assert abs(h_char(BallKernel(n, R), t0) - 1.0) <= 1e-10
-
-
-def test_spectral_parameter_wrapper():
-    k = BallKernel(2, 0.4)
-    sp = SpectralParameter(0.5j)
-    assert abs(h_char(k, sp) - 1.0) <= 1e-10
-    with pytest.raises(ValueError):
-        SpectralParameter(6.0j)
 
 
 def test_h_char_real_even_bounded():
@@ -57,6 +48,50 @@ def test_h3_routes_agree_on_grid():
         k = BallKernel(3, R)
         for t in np.geomspace(0.1, 200.0, 10):
             assert abs(h_char(k, float(t)) - h_closed_h3(R, float(t))) <= 1e-8
+
+
+# R*t from the smooth range across the old Filon switch (R*t = 50) to 1500
+_RT = (5.0, 60.0, 300.0, 1500.0)
+
+
+def _h_hypergeometric(mpmath, n: int, R: float, t: float):
+    """h as the ball mean of the spherical function, by hypergeometric functions.
+
+    With rho = (n-1)/2 and the radial equation of phi_t,
+    integral_0^R phi_t sinh^{n-1} = sinh^n R cosh R F(1+a, 1+b; n/2+1; -sinh^2 R) / n,
+    a, b = (rho +- i t)/2; at t = i rho, (a, b) = (0, rho).
+    """
+    rho = mpmath.mpf(n - 1) / 2
+    c = mpmath.mpf(n) / 2 + 1
+    z = -mpmath.sinh(mpmath.mpf(R)) ** 2
+    it = 1j * mpmath.mpf(t)
+    num = mpmath.hyp2f1(1 + (rho + it) / 2, 1 + (rho - it) / 2, c, z)
+    return complex(num / mpmath.hyp2f1(1, 1 + rho, c, z))
+
+
+def test_h_char_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for n in (2, 4, 5):
+            for R in (0.1, 0.5, 1.0):
+                for x in _RT:
+                    want = _h_hypergeometric(mpmath, n, R, x / R)
+                    assert abs(h_char(BallKernel(n, R), x / R) - want) <= 2e-14, (n, R, x)
+
+
+def test_h_char_matches_closed_form_past_old_switch():
+    for R in (0.1, 0.5, 1.0):
+        k = BallKernel(3, R)
+        for x in np.geomspace(50.5, 2000.0, 24):
+            t = float(x / R)
+            assert abs(h_char(k, t) - h_closed_h3(R, t)) <= 5e-14, (R, x)
+
+
+def test_h_char_raises_when_amplitude_leaves_range():
+    # (cosh R - cosh u)^{(n-1)/2} under- and overflows; no NaN comes back
+    for R in (0.4, 2.0):
+        with pytest.raises(ArithmeticError):
+            h_char(BallKernel(100000, R), 5.0)
 
 
 def test_h_closed_removable_singularities():
