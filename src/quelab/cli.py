@@ -33,7 +33,7 @@ from .eisenstein import EisensteinH2, EisensteinH3, lower_bound_avg
 from .geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3
 from .lattice import ImagQuadField
 from .mass import H2_MAIN_TERM, MAX_BALL_NODES, MAX_GRID_POINTS, ball_mass, variance_window
-from .selberg import BallKernel, h_char, h_closed_h3
+from .selberg import BallKernel, amplitude_in_range, h_char, h_closed_h3
 from .zeta import zeta_moment
 
 __all__ = ["ExperimentConfig", "ResultRow", "run_experiment", "main"]
@@ -90,14 +90,7 @@ class ExperimentConfig:
     evaluator_overrides: tuple = ()
 
     def t_values(self) -> list[float]:
-        start, stop, step = self.t_grid
-        out, k = [], 0
-        while True:
-            tk = start + k * step
-            if tk > stop + 1e-9:
-                return out
-            out.append(tk)
-            k += 1
+        return _grid_values(self.t_grid)
 
     def radius_for(self, t: float) -> float:
         if self.radius_rule == "fixed":
@@ -107,6 +100,17 @@ class ExperimentConfig:
         if self.radius_rule == "power":
             return t ** (-self.radius_value)
         return math.log(t) ** self.radius_value / t
+
+
+def _grid_values(t_grid: tuple[float, float, float]) -> list[float]:
+    start, stop, step = t_grid
+    out, k = [], 0
+    while True:
+        tk = start + k * step
+        if tk > stop + 1e-9:
+            return out
+        out.append(tk)
+        k += 1
 
 
 def _parse_surface(text: str) -> tuple[str, int | None]:
@@ -270,7 +274,7 @@ def load_config(path: str, kind_override: str | None = None,
         raise ConfigError(f"variance window [t_stop, 2 t_stop] has more than "
                           f"{MAX_GRID_POINTS} points")
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         kind=kind,
         surface=surface,
         field_D=field_D,
@@ -287,6 +291,21 @@ def load_config(path: str, kind_override: str | None = None,
         variance_step=variance_step,
         evaluator_overrides=overrides,
     )
+    if kind not in ("moments", "eval"):
+        # every row but those two takes h_char; the planck radius is not
+        # monotone in t, so each grid point is checked
+        n = kernel_dim if kind == "selberg_check" else dim
+        for t in _grid_values(t_grid):
+            try:
+                R = config.radius_for(t)
+            except ValueError:  # t <= 1 under a t-dependent rule fails in its own row
+                continue
+            except OverflowError:
+                R = math.inf
+            if not amplitude_in_range(n, R):
+                raise ConfigError(f"ball-kernel amplitude leaves float64 range for "
+                                  f"dimension {n} at t = {t:g}, R = {R:g}")
+    return config
 
 
 def _build_evaluator(config: ExperimentConfig):

@@ -81,7 +81,29 @@ BLOCK_K_ARGS = 256
 def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
     """e^{pi |Im nu| / 2} K_nu(x) for an array of x > 0, |Re nu| < 1.
 
-    Uses the cosine-transform representation
+    The sorted arguments are split into groups of at most one octave, a new
+    group starting where x exceeds twice the group's smallest x, and each
+    group takes `_k_scaled_octave`.
+    """
+    nu = complex(nu)
+    if nu.imag < 0.0:
+        return np.conj(_k_scaled_batch(nu.conjugate(), xs))
+    if not abs(nu.real) < 1.0:
+        raise ValueError("balanced K route requires |Re nu| < 1")
+    xs = np.asarray(xs, dtype=float)
+    if xs.size and not xs.min() > 0.0:
+        raise ValueError("arguments must be positive")
+    out, order = np.zeros(xs.size, dtype=complex), np.argsort(xs, kind="stable")
+    sx, start = xs[order], 0
+    while start < sx.size:
+        stop = int(np.searchsorted(sx, 2.0 * sx[start], side="right"))
+        out[order[start:stop]] = _k_scaled_octave(nu, sx[start:stop])
+        start = stop
+    return out
+
+
+def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
+    """`_k_scaled_batch` on sorted x with x_max <= 2 x_min and Im nu >= 0, from
 
         K_nu(x) = sec(nu pi/2) int_0^inf cos(x v) cosh(nu asinh v) (1+v^2)^{-1/2} dv
 
@@ -91,29 +113,15 @@ def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
     sec factor carries the entire e^{-pi|Im nu|/2} smallness, so the returned
     values are free of exponential cancellation.
 
-    The error is absolute: about 1e-15 on the scaled values, up to about
-    1e-14 when the batch spans one to two decades in x.  Past the
-    turning point x = |Im nu| the scaled K decays like e^{-x}, so the
-    relative error there grows without bound: at |Im nu| = 8, x = 60 the
-    value is 2.4e-22 and the error 4e-17 to 8e-16, depending on the other
-    arguments of the batch.  The Fourier series only needs the absolute
-    error: on the critical line the scaled K multiplies coefficients of
-    modulus O(n^eps).
+    The error is absolute: about 1e-15 on the scaled values of one octave,
+    up to 1e-14.  Past the turning point x = |Im nu| the scaled K decays like
+    e^{-x}, so the relative error there grows without bound: at |Im nu| = 8,
+    x = 60 the value is 2.4e-22 and the error 4e-17 to 6e-16, depending on
+    the other arguments of the group.  The Fourier series only needs the
+    absolute error: on the critical line the scaled K multiplies
+    coefficients of modulus O(n^eps).
     """
-    nu = complex(nu)
-    if nu.imag < 0.0:
-        return np.conj(_k_scaled_batch(nu.conjugate(), xs))
-    sig, tau = nu.real, nu.imag
-    if not abs(sig) < 1.0:
-        raise ValueError("balanced K route requires |Re nu| < 1")
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return np.zeros(0, dtype=complex)
-    x_min = float(xs.min())
-    x_max = float(xs.max())
-    if x_min <= 0.0:
-        raise ValueError("arguments must be positive")
-
+    sig, tau, x_min, x_max = nu.real, nu.imag, float(xs[0]), float(xs[-1])
     v0 = 2.0 * max(1.0, tau / x_min)
     total_phase = x_max * v0 + tau * math.asinh(v0)
     if total_phase > 60000.0:
@@ -125,7 +133,7 @@ def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
     v, wv = panel_nodes(0.0, v0, panels, 24)
     lw = np.arcsinh(v)
     g = np.cosh(nu * lw) / np.sqrt(1.0 + v * v)
-    vals = np.cos(np.outer(xs, v)) @ (wv * g)
+    vals = _real_dot(np.cos(np.outer(xs, v)), wv * g)
 
     # tail: |integrand| <= e^{-x u / 2} since tau / v0 <= x_min / 2; panel
     # lengths track both the steepest decay still visible at each u and the
@@ -149,11 +157,16 @@ def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
         logw = np.log(ve + root)
         swing = np.exp(1j * eps * v0 * xs) * (1j * eps)
         f = np.cosh(nu * logw) / (2.0 * root)
-        vals = vals + swing * (decay @ (wu * f))
+        vals = vals + swing * _real_dot(decay, wu * f)
 
     sec_scaled = 2.0 / (cmath.exp(-0.5j * math.pi * sig)
                         + cmath.exp(0.5j * math.pi * sig) * math.exp(-math.pi * tau))
     return sec_scaled * vals
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real matrix a and a complex vector b, without a complex copy of a."""
+    return a @ b.real + 1j * (a @ b.imag)
 
 
 def _k_shift(nu: complex) -> float:
@@ -177,63 +190,75 @@ def _k_scaled(nu: complex, xs: np.ndarray, table: _KTable | None = None) -> np.n
     return bessel_K_many(nu, xs)
 
 
-# Chebyshev table for one balanced-route order: panel j covers
-# [2^(j/4), 2^((j+1)/4)] and interpolates at the 24 first-kind Chebyshev
-# points; the two check points are extrema of T_24, where the interpolation
-# error peaks, each lying between two nodes.
-_CHEB_N = 24
+# Chebyshev table for one balanced-route order (`_KTable`); points are
+# indices into the finest grid cos(i pi / _CHEB_GRID) of the levels.
+_CHEB_LEVELS = (32, 64, 128, 256)
+_CHEB_GRID = 2 * _CHEB_LEVELS[-1]
 _CHEB_TOL = 1e-14  # absolute, on the scaled K
-_CHEB_THETA = (np.arange(_CHEB_N) + 0.5) * (math.pi / _CHEB_N)
-_CHEB_POINTS = np.cos(np.concatenate([_CHEB_THETA, np.array([5.0, 19.0]) * (math.pi / _CHEB_N)]))
-_CHEB_FIT = (2.0 / _CHEB_N) * np.cos(np.outer(np.arange(_CHEB_N), _CHEB_THETA))
-_CHEB_FIT[0] *= 0.5
+_CHEB_CHOP = 0.25 * _CHEB_TOL  # coefficients past the last one above this are chopped
+_CHEB_U = np.cos(np.arange(_CHEB_GRID + 1) * (math.pi / _CHEB_GRID))
 
 
-def _panel_geometry(js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.exp2(0.25 * js)
-    hi = np.exp2(0.25 * (js + 1))
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+@lru_cache(maxsize=None)
+def _cheb_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(node indices, two check-point indices near theta = pi/8 and 7 pi/8,
+    node values -> Chebyshev coefficients) at level n; checks are next-level nodes."""
+    step, k = _CHEB_GRID // n, np.arange(n + 1)
+    ends = np.where(k % n == 0, 0.5, 1.0)
+    fit = (2.0 / n) * np.outer(ends, ends) * np.cos(np.outer(k, k) * (math.pi / n))
+    check = np.array([n // 4 + 1, 7 * n // 4 - 1]) * (step // 2)
+    return np.arange(0, _CHEB_GRID + 1, step), check, fit
 
 
 def _cheb_eval(u: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_k coef[i, k] T_k(u[i]) for each i, elementwise in i."""
-    return (np.cos(np.outer(np.arccos(u), np.arange(_CHEB_N))) * coef).sum(axis=1)
+    return (np.cos(np.outer(np.arccos(u), np.arange(coef.shape[1]))) * coef).sum(axis=1)
 
 
 class _KTable:
     """Balanced-route scaled K_nu at one order, from a piecewise-Chebyshev table.
 
-    Panels are filled on first use, each by one `_k_scaled_batch` call at its
-    24 nodes and 2 check points.  A panel whose check points miss the direct
-    values by more than 1e-14 absolute is served by `_k_scaled_batch` on the
-    arguments that fall in it.  Coefficients depend only on (nu, j), so a
-    value never depends on which arguments were asked for first.
+    Panel j covers the octave [2^j, 2^(j+1)].  On first use it is filled at
+    the second-kind points cos(k pi / n), k = 0..n, for n in _CHEB_LEVELS in
+    turn, one `_k_scaled_batch` call per level reusing all earlier values.
+    A level is taken once at least its last eighth of coefficients is
+    chopped and its two check points agree with the direct values within
+    1e-14 absolute; a panel that no level passes keeps no coefficients, and
+    `_k_scaled_batch` serves the arguments in it.  Coefficients depend only
+    on (nu, j), so a value never depends on which arguments came first.
     """
 
     def __init__(self, nu: complex) -> None:
         self.nu = nu
-        self._panels: dict[int, np.ndarray | None] = {}
+        self._panels: dict[int, np.ndarray] = {}
 
-    def _fill(self, j: int) -> np.ndarray | None:
-        mid, half = _panel_geometry(np.array([j]))
-        vals = _k_scaled_batch(self.nu, mid + half * _CHEB_POINTS)
-        coef = (_CHEB_FIT * vals[:_CHEB_N]).sum(axis=1)
-        check = _cheb_eval(_CHEB_POINTS[_CHEB_N:], coef[None, :])
-        self._panels[j] = coef if np.all(np.abs(check - vals[_CHEB_N:]) <= _CHEB_TOL) else None
+    def _fill(self, j: int) -> np.ndarray:
+        xs = math.ldexp(1.0, j - 1) * (3.0 + _CHEB_U)
+        vals = np.full(xs.size, np.nan, dtype=complex)
+        self._panels[j] = np.zeros(0, dtype=complex)
+        for n in _CHEB_LEVELS:
+            nodes, check, fit = _cheb_level(n)
+            new = np.concatenate([nodes, check])
+            new = new[np.isnan(vals[new].real)]
+            vals[new] = _k_scaled_batch(self.nu, xs[new])
+            coef = _real_dot(fit, vals[nodes])
+            coef = coef[:np.flatnonzero(np.abs(coef) > _CHEB_CHOP).max(initial=0) + 1]
+            miss = np.abs(_cheb_eval(_CHEB_U[check], coef[None, :]) - vals[check])
+            if coef.size <= n - n // 8 and np.all(miss <= _CHEB_TOL):
+                self._panels[j] = coef
+                break
         return self._panels[j]
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        js, inverse = np.unique(np.floor(4.0 * np.log2(xs)).astype(np.int64),
-                                return_inverse=True)
+        mant, expo = np.frexp(xs)  # x = mant 2^expo, mant in [1/2, 1): panel expo - 1
+        js, inverse = np.unique(expo - 1, return_inverse=True)
         rows = [self._panels[j] if j in self._panels else self._fill(j) for j in js.tolist()]
-        direct = np.array([row is None for row in rows])[inverse]
-        coef = np.stack([np.zeros(_CHEB_N, dtype=complex) if row is None else row
-                         for row in rows])
-        mid, half = _panel_geometry(js)
-        # rounding in log2 can put x a hair outside its panel
-        u = np.clip((xs - mid[inverse]) / half[inverse], -1.0, 1.0)
-        out = _cheb_eval(u, coef[inverse])
+        coef = np.zeros((len(rows), max((row.size for row in rows), default=0)), dtype=complex)
+        for i, row in enumerate(rows):
+            coef[i, :row.size] = row
+        out = _cheb_eval(4.0 * mant - 3.0, coef[inverse])
+        direct = np.array([row.size == 0 for row in rows], dtype=bool)[inverse]
         if direct.any():
             out[direct] = _k_scaled_batch(self.nu, xs[direct])
         return out

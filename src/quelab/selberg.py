@@ -24,6 +24,7 @@ from .specfun import bessel_J
 
 __all__ = [
     "BallKernel",
+    "amplitude_in_range",
     "h_char",
     "h_closed_h3",
     "h_bessel_asym",
@@ -52,6 +53,28 @@ class BallKernel:
 
 _PANEL_CAP = 128
 
+# float64 spans about e^{-708} to e^{709}; the integrands' logarithms stay
+# within this margin of 0, which leaves room for the weights and the sum
+_LOG_RANGE = 650.0
+
+
+def amplitude_in_range(n: int, R: float) -> bool:
+    """Whether the integrands of `h_char` stay in float64 range for an
+    n-dimensional R-ball.
+
+    With m = (n-1)/2 the amplitude (cosh R - cosh u)^m peaks at (cosh R - 1)^m
+    at u = 0.  The largest |cos(t u)| in the admitted strip, cosh(m u), stays
+    below e^{m R}, and times the amplitude below (sinh^2 R / 2)^m.  All three
+    are taken in logarithms, with cosh R - 1 = e^R (1 - e^{-R})^2 / 2 and
+    sinh R = e^R (1 - e^{-2R}) / 2.
+    """
+    if not R > 0.0:
+        return False
+    m = 0.5 * (n - 1)
+    low = m * (R + 2.0 * math.log(-math.expm1(-R)) - math.log(2.0))
+    high = m * max(R, 2.0 * (R + math.log(-math.expm1(-2.0 * R))) - 3.0 * math.log(2.0))
+    return low > -_LOG_RANGE and high < _LOG_RANGE
+
 
 def _amplitude_integral(R: float, m: float, t: complex) -> complex:
     nodes = int(1.4 * (abs(t.real) * R)) + 48
@@ -68,20 +91,21 @@ def _amplitude_integral(R: float, m: float, t: complex) -> complex:
 def h_char(kernel: BallKernel, t) -> complex:
     """Selberg transform of the ball kernel, normalized so h(i(n-1)/2) = 1.
 
-    Raises ArithmeticError when the amplitude under- or overflows (very
-    large n), instead of returning a NaN.
+    Raises ArithmeticError when the amplitude under- or overflows (see
+    `amplitude_in_range`; very large n), instead of returning a NaN.
     """
     tv = complex(t)
     half = 0.5 * (kernel.n - 1)
     if tv.imag > half + 1e-9:
         raise ValueError("spectral parameter outside the admitted strip")
+    if not amplitude_in_range(kernel.n, kernel.R):
+        raise ArithmeticError(f"ball-kernel amplitude leaves float64 range for "
+                              f"n = {kernel.n}, R = {kernel.R:g}")
     m = half  # exponent (n-1)/2 of the amplitude
     # an overflow or invalid value anywhere ends in a non-finite h, raised below
     with np.errstate(over="ignore", invalid="ignore"):
         denom = _amplitude_integral(kernel.R, m, complex(0.0, half))
         num = _amplitude_integral(kernel.R, m, tv)
-    if denom == 0.0:
-        raise ArithmeticError(f"ball-kernel normalization underflows to 0 for n = {kernel.n}")
     h = num / denom
     if not cmath.isfinite(h):
         raise ArithmeticError(f"ball-kernel transform is not finite for n = {kernel.n}")

@@ -506,9 +506,14 @@ def _assert_config_error(tmp_path, capsys, command, text, message):
                  "[evaluator]\n    truncation = 1\n\n    [experiment]\n    kind = qe_scan\n"
                  "    surface = bianchi(-1)"),
      "'truncation' in [evaluator] does not apply to surface bianchi(-1)"),
+    ("selberg-check", ("kind = qe_scan", "kind = selberg_check\n    kernel_dim = 100000"),
+     "ball-kernel amplitude leaves float64 range for dimension 100000 at t = 5, R = 0.4"),
+    ("qe-scan", ("rule = fixed\n    r = 0.4", "rule = planck\n    a = 1e6"),
+     "ball-kernel amplitude leaves float64 range for dimension 2 at t = 5, R = inf"),
 ], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf",
         "grid_size", "variance_window_size", "quadrature_nodes", "variance_nodes",
-        "monte_carlo_nodes", "norm_cap_on_h2", "truncation_on_bianchi"])
+        "monte_carlo_nodes", "norm_cap_on_h2", "truncation_on_bianchi", "kernel_range",
+        "radius_overflow"])
 def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, command,
                                                 edit, message):
     # a non-finite or oversized grid would hang or exhaust memory in
@@ -518,6 +523,36 @@ def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, co
         raise RuntimeError("grid expanded after a bad config was accepted")
     monkeypatch.setattr(ExperimentConfig, "t_values", no_grid)
     _assert_config_error(tmp_path, capsys, command, _QE_MC.replace(*edit), message)
+
+
+_PLANCK_CHECK = """\
+    [experiment]
+    kind = selberg_check
+    surface = h2
+    kernel_dim = 1001
+
+    [grid]
+    t_start = 5.0
+    t_stop = 605.0
+    t_step = {step}
+
+    [radius]
+    rule = planck
+    a = 3.5
+    """
+
+
+def test_kernel_range_is_checked_at_every_grid_point(tmp_path, capsys):
+    # R = log(t)^3.5 / t is about 1.06 at t = 5, 1.10 at t = 605 and 2.07 at
+    # t = 105; dimension 1001 admits R in about (0.72, 1.3) only
+    _assert_config_error(tmp_path, capsys, "selberg-check", _PLANCK_CHECK.format(step=100.0),
+                         "ball-kernel amplitude leaves float64 range for dimension 1001 "
+                         "at t = 105, R = 2.07")
+    out = tmp_path / "ends.csv"
+    assert main(["selberg-check", "--config", _write(tmp_path, _PLANCK_CHECK.format(step=600.0)),
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(math.isfinite(float(row.split(",")[7])) for row in rows)
 
 
 # every float key, each with the edits that put it into _QE_MC

@@ -64,6 +64,20 @@ def test_h2_two_routes_on_critical_line():
             assert abs(a - b) <= 1e-6, (hp.d, t, abs(a - b))
 
 
+@pytest.mark.parametrize("t", [150.0, 250.0, 300.0])
+def test_h2_value_matches_heegner_route_at_large_t(t):
+    """The direct K route, split by octave, against the form-zeta route at z = i."""
+    s = complex(0.5, t)
+    got = EisensteinH2().value(PointH2(0.0, 1.0), s)
+    assert abs(got - eis_h2_heegner(HeegnerPoint(1, 0, 1), s)) <= 1e-11
+
+
+@pytest.mark.parametrize("t", [340.0, 400.0])
+def test_h2_value_is_finite_at_large_t(t):
+    # one K batch over all terms of the series spanned too wide a range here
+    assert np.isfinite(EisensteinH2().value(PointH2(0.0, 1.0), complex(0.5, t)))
+
+
 def test_h2_heegner_fallback_discriminant():
     # class number of d = -20 is 2, so the one-class factorization does not
     # apply and the generic continuation route must take over
@@ -206,10 +220,45 @@ def test_k_table_matches_direct_route(tau):
     assert np.max(np.abs(_KTable(nu)(xs) - direct)) <= 1e-14
 
 
+@pytest.mark.parametrize("tau", [100.0, 180.0])
+def test_k_table_matches_direct_route_at_large_order(tau):
+    nu = complex(0.0, tau)
+    xs = np.geomspace(1.0, 400.0, 400)
+    table = _KTable(nu)
+    assert np.max(np.abs(table(xs) - _k_scaled_batch(nu, xs))) <= 5e-14
+    assert sum(coef.size == 0 for coef in table._panels.values()) <= 1  # fallback panels
+
+
+def test_k_table_fills_reuse_values_within_one_octave(monkeypatch):
+    """Each fill is one direct call on one octave; the levels of a panel never
+    ask for the same point twice."""
+    calls = []
+
+    def counted(nu, xs):
+        calls.append(np.array(xs))
+        return _k_scaled_batch(nu, xs)
+
+    monkeypatch.setattr(eisenstein, "_k_scaled_batch", counted)
+    table = _KTable(complex(0.0, 40.0))
+    table(np.geomspace(3.0, 200.0, 300))
+    assert 1 < len(table._panels) < len(calls)
+    by_panel = {}
+    for xs in calls:
+        j = math.floor(math.log2(xs.min()))
+        assert xs.max() <= 2.0 ** (j + 1)
+        by_panel.setdefault(j, []).append(xs)
+    for pieces in by_panel.values():
+        points = np.concatenate(pieces)
+        assert np.unique(points).size == points.size
+    calls.clear()
+    table(np.geomspace(3.0, 200.0, 77))
+    assert calls == []
+
+
 def test_k_table_failed_panel_falls_back_bit_for_bit(monkeypatch):
     monkeypatch.setattr(eisenstein, "_CHEB_TOL", -1.0)  # no check can pass
     nu = complex(0.0, 12.5)
-    xs = np.linspace(9.6, 11.2, 9)  # all in the panel [2^(13/4), 2^(14/4)]
+    xs = np.linspace(9.0, 15.0, 9)  # all in the panel [2^3, 2^4]
     assert np.array_equal(_KTable(nu)(xs), _k_scaled_batch(nu, xs))
     wide = np.geomspace(4.0, 90.0, 40)
     assert np.array_equal(_KTable(nu)(wide), _k_scaled_batch(nu, wide))
@@ -230,12 +279,12 @@ def test_value_makes_one_direct_k_call(monkeypatch):
     calls = []
 
     def counted(nu, xs):
-        calls.append(len(xs))
+        calls.append(np.max(xs) / np.min(xs))
         return _k_scaled_batch(nu, xs)
 
     monkeypatch.setattr(eisenstein, "_k_scaled_batch", counted)
     EisensteinH2().value(PointH2(0.13, 0.92), complex(0.5, 12.0))
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0] > 4.0  # one call, split inside it by octave
     EisensteinH3(field=QI).value(PointH3(0.1 + 0.05j, 1.2), complex(1.0, 9.0))
     assert len(calls) == 2
 
@@ -327,7 +376,7 @@ def test_values_of_no_nodes_are_empty():
     assert EisensteinH3(field=QI).plan(complex(1.0, 9.0)).values(z, np.zeros(0)).shape == (0,)
 
 
-@pytest.mark.parametrize("tau", [2.0, 8.0, 13.0, 40.0, 80.0])
+@pytest.mark.parametrize("tau", [2.0, 8.0, 13.0, 40.0, 80.0, 180.0])
 def test_balanced_k_route_matches_mpmath(tau):
     """`_k_scaled_batch`, one argument per call and all in one batch, and
     from tau = 8 on `_KTable`, in absolute error on the scaled K."""

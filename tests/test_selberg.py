@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from quelab.geometry import GeodesicBall, PointH2, PointH3
 from quelab.selberg import (
     BallKernel,
+    amplitude_in_range,
     h_bessel_asym,
     h_char,
     h_closed_h3,
@@ -92,6 +94,23 @@ def test_h_char_raises_when_amplitude_leaves_range():
     for R in (0.4, 2.0):
         with pytest.raises(ArithmeticError):
             h_char(BallKernel(100000, R), 5.0)
+
+
+def test_amplitude_range_admits_only_finite_transforms():
+    """In range, h is finite at the normalizing point and on the real line;
+    out of range, h_char raises before integrating."""
+    admitted = 0
+    for n in (2, 3, 9, 201, 1001, 100000):
+        for R in np.geomspace(1e-4, 400.0, 25):
+            kernel = BallKernel(n, float(R))
+            if amplitude_in_range(n, float(R)):
+                admitted += 1
+                for t in (1j * (n - 1) / 2.0, 5.0, 40.0 / R):
+                    assert cmath.isfinite(h_char(kernel, t)), (n, R, t)
+            else:
+                with pytest.raises(ArithmeticError):
+                    h_char(kernel, 5.0)
+    assert 40 < admitted < 150
 
 
 def test_h_closed_removable_singularities():

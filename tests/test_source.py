@@ -116,3 +116,39 @@ def test_perfbench_tracer_finds_every_binding():
 def test_binding_check_sees_a_deleted_binding():
     missing = _missing_bindings("import quelab.selberg\ndel quelab.selberg.ball_quadrature")
     assert missing == ["geometry.ball_quadrature@quelab.selberg"]
+
+
+# Evaluates one table-route ball on H^2 and one on Z[i] in a fresh
+# interpreter and prints which of the named numpy modules got imported;
+# `prepare` runs after the quelab imports.
+_MODULE_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+from quelab.eisenstein import EisensteinH2, EisensteinH3
+from quelab.geometry import GeodesicBall, PointH2, PointH3
+from quelab.lattice import ImagQuadField
+from quelab.mass import ball_mass
+{prepare}
+ball_mass(2, GeodesicBall(2, PointH2(0.1, 1.2), 0.4), 12.0, EisensteinH2(), order=10)
+ball_mass(3, GeodesicBall(3, PointH3(0.1 + 0.05j, 1.2), 0.4), 9.0,
+          EisensteinH3(ImagQuadField(-1)), order=6)
+print(json.dumps([name for name in ("numpy.fft", "numpy.ma") if name in sys.modules]))
+"""
+
+
+def _heavy_numpy_modules(prepare: str = "") -> list[str]:
+    code = _MODULE_PROBE.format(src=str(_ROOT / "src"), prepare=prepare)
+    done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_table_route_balls_import_no_heavy_numpy_module():
+    # numpy.fft adds about 0.7 MB and numpy.ma (loaded by np.unique without
+    # return_inverse, among others) about 1.6 MB to the benchmark's peak RSS
+    assert _heavy_numpy_modules() == []
+
+
+def test_module_check_sees_an_import():
+    assert _heavy_numpy_modules("import numpy.fft") == ["numpy.fft"]
