@@ -298,8 +298,8 @@ def load_config(path: str, kind_override: str | None = None,
         for t in _grid_values(t_grid):
             try:
                 R = config.radius_for(t)
-            except ValueError:  # t <= 1 under a t-dependent rule fails in its own row
-                continue
+            except ValueError as exc:  # t <= 1 under a t-dependent rule
+                raise ConfigError(f"{exc}, got t = {t:g}") from exc
             except OverflowError:
                 R = math.inf
             if not amplitude_in_range(n, R):

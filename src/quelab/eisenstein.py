@@ -45,6 +45,7 @@ from .zeta import (
     dirichlet_L,
     epstein_Z,
     epstein_lattice_sum,
+    log_xi,
     riemann_zeta,
     scattering_phi_K,
     scattering_phi_Q,
@@ -279,10 +280,44 @@ class SeriesPlan:
         return complex(self.values(*node_arrays([p]))[0])
 
 
-def _blocks(n_nodes: int, args_per_node: int) -> list[slice]:
-    """Consecutive node slices of at most BLOCK_K_ARGS K arguments each."""
-    step = max(1, BLOCK_K_ARGS // max(args_per_node, 1))
-    return [slice(a, a + step) for a in range(0, n_nodes, step)]
+def _k_blocks(nu: complex, table: _KTable | None, freqs: np.ndarray, heights: np.ndarray,
+              counts: np.ndarray):
+    """(block, n, kvals) per slice of nodes sending at most BLOCK_K_ARGS arguments
+    to one `_k_scaled` call: n is the block's largest count, and kvals[i, k] the
+    scaled K at freqs[k] * heights[i] for k < counts[i], zero past it."""
+    step = max(1, BLOCK_K_ARGS // max(freqs.size, 1))
+    for a in range(0, heights.size, step):
+        block = slice(a, a + step)
+        n = int(counts[block].max())
+        used = np.arange(n) < counts[block, None]
+        kvals = np.zeros(used.shape, dtype=complex)
+        kvals[used] = _k_scaled(nu, (freqs[:n] * heights[block, None])[used], table)
+        yield block, n, kvals
+
+
+class _FourierSeries:
+    """What the two series evaluators share: the checks on `height_floor`
+    and `abs_tol`, `plan` and `value`.  Subclasses are frozen dataclasses with
+    those two fields, and `_plan(s, tabulate)` builds their `SeriesPlan`."""
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.height_floor:
+            raise ValueError("height floor must be positive")
+        if not 0.0 < self.abs_tol < 1.0:
+            raise ValueError("abs_tol must lie in (0, 1)")
+
+    def plan(self, s: complex) -> SeriesPlan:
+        """E(., s) at one s, for evaluating many points.
+
+        Work that depends only on s is done once.  On the balanced K route the
+        plan reads K from its own Chebyshev table (`_KTable`), within 1e-14
+        absolute of `_k_scaled_batch` in the scaled K.
+        """
+        return self._plan(complex(s), tabulate=True)
+
+    def value(self, p: PointH2 | PointH3 | complex, s: complex) -> complex:
+        """E(p, s) at one point, with K straight from the direct route."""
+        return self._plan(complex(s), tabulate=False)(p)
 
 
 # ----------------------------------------------------------------------------
@@ -311,7 +346,7 @@ def _h2_guard(s: complex) -> None:
 
 
 @dataclass(frozen=True)
-class EisensteinH2:
+class EisensteinH2(_FourierSeries):
     """Fourier-expansion evaluator for the level-one series on H^2.
 
     `truncation` is a floor on the number of Fourier terms; evaluation raises
@@ -324,10 +359,7 @@ class EisensteinH2:
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.height_floor:
-            raise ValueError("height floor must be positive")
-        if not 0.0 < self.abs_tol < 1.0:
-            raise ValueError("abs_tol must lie in (0, 1)")
+        super().__post_init__()
         if self.truncation is not None:
             if self.truncation < 1:
                 raise ValueError("truncation must be >= 1")
@@ -360,26 +392,11 @@ class EisensteinH2:
         noise = 2e-13 * (1.0 + abs(t)) * max(n, 1)
         return analytic + noise
 
-    def plan(self, s: complex) -> SeriesPlan:
-        """E(., s) at one s, for evaluating many points.
-
-        The prefactor, constant term, scattering coefficient and divisor
-        coefficients are computed once.  On the balanced K route the plan
-        reads K from its own Chebyshev table (`_KTable`), within 1e-14
-        absolute of `_k_scaled_batch` in the scaled K.
-        """
-        return self._plan(complex(s), tabulate=True)
-
-    def value(self, z: PointH2 | complex, s: complex) -> complex:
-        """E(z, s) at one point, with K straight from the direct route."""
-        return self._plan(complex(s), tabulate=False)(z)
-
     def _plan(self, s: complex, tabulate: bool) -> SeriesPlan:
         _h2_guard(s)
         phi = scattering_phi_Q(s)
         nu = s - 0.5
-        growth = cmath.exp(s * math.log(math.pi) - log_gamma(s) - _k_shift(nu))
-        zeta_2s = riemann_zeta(2.0 * s)
+        pref = 4.0 * cmath.exp(-log_xi(2.0 * s) - _k_shift(nu))  # 4 / xi(2s), scaled
         table = _KTable(nu) if tabulate else None
         # n^nu sigma_{1-2s}(n) for n <= len; the sieve adds the divisors of
         # each n in the same order whatever the length, so every prefix is
@@ -409,18 +426,13 @@ class EisensteinH2:
             # each node keeps its own truncation: terms past its count are
             # masked out of the block's K call and zero in its sum
             counts = self.terms_for(y, s.imag)
-            n_max = int(counts.max())
-            freq = 2.0 * math.pi * np.arange(1, n_max + 1, dtype=float)
-            coef = coefficients(n_max)
+            freq = 2.0 * math.pi * np.arange(1, int(counts.max()) + 1, dtype=float)
+            coef = coefficients(freq.size)
             series = np.empty(zc.size, dtype=complex)
-            for block in _blocks(zc.size, n_max):
-                n = int(counts[block].max())
-                used = np.arange(1, n + 1) <= counts[block, None]
-                kvals = np.zeros(used.shape, dtype=complex)
-                kvals[used] = _k_scaled(nu, (freq[:n] * y[block, None])[used], table)
+            for block, n, kvals in _k_blocks(nu, table, freq, y, counts):
                 series[block] = np.sum(coef[:n] * kvals * np.cos(freq[:n] * x[block, None]),
                                        axis=1)
-            return const + 4.0 * np.sqrt(y) * growth / zeta_2s * series
+            return const + pref * np.sqrt(y) * series
 
         return SeriesPlan(values)
 
@@ -511,7 +523,7 @@ def _h3_term_table(field_: ImagQuadField, s_key: tuple[float, float], cap: int):
 
 
 @dataclass(frozen=True)
-class EisensteinH3:
+class EisensteinH3(_FourierSeries):
     """Fourier-expansion evaluator for the cusp-at-infinity series on H^3.
 
     Arguments are passed in the convention where the critical line is
@@ -526,12 +538,9 @@ class EisensteinH3:
     normalization: str = "E"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.normalization not in ("E", "E_inf"):
             raise ValueError("normalization must be 'E' or 'E_inf'")
-        if not 0.0 < self.height_floor:
-            raise ValueError("height floor must be positive")
-        if not 0.0 < self.abs_tol < 1.0:
-            raise ValueError("abs_tol must lie in (0, 1)")
         if self.norm_cap is not None:
             if self.norm_cap < 1:
                 raise ValueError("norm cap must be >= 1")
@@ -562,20 +571,6 @@ class EisensteinH3:
         noise = 2e-13 * (1.0 + abs(tau)) * max(cap, 1)
         return analytic + noise
 
-    def plan(self, S: complex) -> SeriesPlan:
-        """E(., S) at one S, for evaluating many points.
-
-        The prefactor, zeta_K(1+s) and phi_K(s) are computed once.  On the
-        balanced K route the plan reads K from its own Chebyshev table
-        (`_KTable`), within 1e-14 absolute of `_k_scaled_batch` in the
-        scaled K.
-        """
-        return self._plan(complex(S), tabulate=True)
-
-    def value(self, P: PointH3, S: complex) -> complex:
-        """E(P, S) at one point, with K straight from the direct route."""
-        return self._plan(complex(S), tabulate=False)(P)
-
     def _plan(self, S: complex, tabulate: bool) -> SeriesPlan:
         if abs(S - 2.0) < 1e-12:
             raise ValueError("pole of the series at S = 2")
@@ -605,15 +600,10 @@ class EisensteinH3:
             zvals, coeff, norms, inverse = _h3_term_table(self.field, (s.real, s.imag),
                                                           int(caps.max()))
             counts = np.searchsorted(norms, caps, side="right")
-            moduli = np.sqrt(norms.astype(float))
+            freqs = (4.0 * math.pi / math.sqrt(dk)) * np.sqrt(norms.astype(float))
             series = np.empty(z.size, dtype=complex)
-            for block in _blocks(z.size, norms.size):
-                n = int(counts[block].max())
+            for block, n, kvals in _k_blocks(s, table, freqs, r, counts):
                 m = int(np.searchsorted(inverse, n))
-                used = np.arange(n) < counts[block, None]
-                kvals = np.zeros(used.shape, dtype=complex)
-                xs = (4.0 * math.pi * moduli[:n]) * r[block, None] / math.sqrt(dk)
-                kvals[used] = _k_scaled(s, xs[used], table)
                 theta = (-4.0 * math.pi / math.sqrt(dk)) * (
                     zvals[:m].real * z[block, None].imag + zvals[:m].imag * z[block, None].real)
                 series[block] = np.sum(coeff[:m] * kvals[:, inverse[:m]] * np.exp(1j * theta),
@@ -677,12 +667,15 @@ def eis_h3_coset(P: PointH3, S: complex, field_: ImagQuadField, cap: int = 40) -
     dz = du + dv * om
     real_S = S.imag == 0.0
     pieces = [r ** S.real if real_S else cmath.exp(S * math.log(r))]  # class (0, 1)
+    masks: dict[AlgebraicInt, np.ndarray] = {}  # one per prime, built on first use
     for c in els:
         if not _in_sector(c):
             continue
         mask = np.ones(du.shape, dtype=bool)
         for p in _prime_divisors(c):
-            mask &= _not_divisible(du, dv, p)
+            if p not in masks:
+                masks[p] = _not_divisible(du, dv, p)
+            mask &= masks[p]
         w = c.to_complex() * z + dz[mask]
         base = r / (w.real * w.real + w.imag * w.imag + c.norm() * r * r)
         if real_S:
@@ -743,30 +736,20 @@ def gamma_factors(dim: int, t_j: float, t: float) -> GammaFactorReport:
     Q = 4.0 * abs(t_j) - abs(2.0 * t_j + t) - abs(2.0 * t_j - t)
     if dim == 2:
         P = (1.0 + abs(t)) * math.sqrt((1.0 + abs(2.0 * t_j + t)) * (1.0 + abs(2.0 * t_j - t)))
-        log_exact = (4.0 * _log_abs_gamma(0.25, 0.5 * t)
-                     + 2.0 * _log_abs_gamma(0.25, t_j + 0.5 * t)
-                     + 2.0 * _log_abs_gamma(0.25, t_j - 0.5 * t)
-                     - 4.0 * _log_abs_gamma(0.5, t_j)
-                     - 2.0 * _log_abs_gamma(0.5, t))
     else:
         P = (1.0 + abs(t)) * (1.0 + abs(t_j)) ** 2
-        log_exact = (4.0 * _log_abs_gamma(0.5, 0.5 * t)
-                     + 2.0 * _log_abs_gamma(0.5, t_j + 0.5 * t)
-                     + 2.0 * _log_abs_gamma(0.5, t_j - 0.5 * t)
-                     - 4.0 * _log_abs_gamma(1.0, t_j)
-                     - 2.0 * _log_abs_gamma(1.0, t))
+    a = 0.25 * (dim - 1)  # real parts a and 2a of the Gamma arguments
+    log_exact = (4.0 * _log_abs_gamma(a, 0.5 * t)
+                 + 2.0 * _log_abs_gamma(a, t_j + 0.5 * t)
+                 + 2.0 * _log_abs_gamma(a, t_j - 0.5 * t)
+                 - 4.0 * _log_abs_gamma(2.0 * a, t_j)
+                 - 2.0 * _log_abs_gamma(2.0 * a, t))
     return GammaFactorReport(
         Q=Q,
         P=P,
         gamma_exact=math.exp(log_exact),
         gamma_asym=math.exp(0.5 * math.pi * Q) / P,
     )
-
-
-def _log_lambda(w: complex) -> complex:
-    # log of pi^{-w/2} Gamma(w/2) zeta(w); keeps tiny completed values in range
-    return (-0.5 * w * math.log(math.pi) + log_gamma(0.5 * w)
-            + cmath.log(riemann_zeta(w)))
 
 
 def reg_triple(dim: int, t: float, tprime: float,
@@ -782,11 +765,11 @@ def reg_triple(dim: int, t: float, tprime: float,
     if abs(t) < 1e-9 or abs(tp) < 1e-9:
         raise ValueError("t = 0 or t' = 0 lands on a zeta pole of the ratio")
     if dim == 2:
-        log_num = (2.0 * _log_lambda(complex(0.5, -tp))
-                   + _log_lambda(complex(0.5, 2.0 * t - tp))
-                   + _log_lambda(complex(0.5, -(2.0 * t + tp))))
-        log_den = (2.0 * _log_lambda(complex(1.0, 2.0 * t)).real
-                   + _log_lambda(complex(1.0, -2.0 * tp)))
+        log_num = (2.0 * log_xi(complex(0.5, -tp))
+                   + log_xi(complex(0.5, 2.0 * t - tp))
+                   + log_xi(complex(0.5, -(2.0 * t + tp))))
+        log_den = (2.0 * log_xi(complex(1.0, 2.0 * t)).real
+                   + log_xi(complex(1.0, -2.0 * tp)))
         return cmath.exp(log_num - log_den)
     fld = field_ or ImagQuadField(-1)
     u = complex(0.5, 0.5 * tp)

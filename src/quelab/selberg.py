@@ -96,7 +96,7 @@ def h_char(kernel: BallKernel, t) -> complex:
     """
     tv = complex(t)
     half = 0.5 * (kernel.n - 1)
-    if tv.imag > half + 1e-9:
+    if abs(tv.imag) > half + 1e-9:  # h is even in t
         raise ValueError("spectral parameter outside the admitted strip")
     if not amplitude_in_range(kernel.n, kernel.R):
         raise ArithmeticError(f"ball-kernel amplitude leaves float64 range for "

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._quad import panel_nodes
 
-__all__ = ["log_gamma", "bessel_J", "bessel_K", "bessel_K_many"]
+__all__ = ["log_gamma", "bessel_J", "bessel_K_many"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -160,7 +160,7 @@ def bessel_K_many(nu: complex, xs: np.ndarray) -> np.ndarray:
     if xs.size == 0:
         return np.zeros(0, dtype=complex)
     if np.any(xs <= 0.0):
-        raise ValueError("bessel_K requires x > 0")
+        raise ValueError("bessel_K_many requires x > 0")
     nu = complex(nu)
     u, w = _k_grid(float(xs.min()), nu)
     if nu.imag == 0.0:
@@ -177,10 +177,3 @@ def bessel_K_many(nu: complex, xs: np.ndarray) -> np.ndarray:
         block = xs[i : i + step]
         out[i : i + step] = np.exp(-np.outer(block, cu)) @ wf
     return out
-
-
-def bessel_K(order: complex, x: float) -> complex:
-    """K-Bessel of complex order via the cosh integral; domain x > 0."""
-    if x <= 0.0:
-        raise ValueError("bessel_K requires x > 0")
-    return complex(bessel_K_many(order, np.array([float(x)]))[0])

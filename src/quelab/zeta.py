@@ -33,6 +33,7 @@ __all__ = [
     "epstein_Z",
     "epstein_lattice_sum",
     "upper_gamma",
+    "log_xi",
     "scattering_phi_K",
     "scattering_phi_Q",
     "zeta_moment",
@@ -381,12 +382,16 @@ def epstein_Z(Q: BinaryQuadraticForm, s: complex) -> complex:
 # Scattering matrices.
 
 
+def log_xi(w: complex) -> complex:
+    """log(pi^{-w/2} Gamma(w/2) zeta(w)), finite where xi underflows; Im not reduced."""
+    return -0.5 * w * math.log(math.pi) + log_gamma(0.5 * w) + cmath.log(riemann_zeta(w))
+
+
 def scattering_phi_Q(s: complex) -> complex:
     """Constant-term coefficient xi(2s-1)/xi(2s) of the modular-surface case.
 
-    Assembled from log-gamma so the critical line is safe, with zeta from
-    `riemann_zeta`.  For Re s <= 0 it returns
-    1 / phi(1 - s): Euler-Maclaurin zeta at Re(2s - 1) <= -1 loses digits
+    Assembled from `log_xi`, so the critical line is safe.  For Re s <= 0 it
+    returns 1 / phi(1 - s): Euler-Maclaurin zeta at Re(2s - 1) <= -1 loses digits
     to cancelling head terms (1.6e-12 relative at s = -0.3 + 20i), while the
     reflected point lies where it is accurate to about 1e-14.
     """
@@ -396,9 +401,7 @@ def scattering_phi_Q(s: complex) -> complex:
             raise ValueError(f"pole or zero of the completed ratio at s = {bad}")
     if s.real <= 0.0:
         return 1.0 / scattering_phi_Q(1.0 - s)
-    return (math.sqrt(math.pi)
-            * cmath.exp(log_gamma(s - 0.5) - log_gamma(s))
-            * riemann_zeta(2.0 * s - 1.0) / riemann_zeta(2.0 * s))
+    return cmath.exp(log_xi(2.0 * s - 1.0) - log_xi(2.0 * s))
 
 
 def scattering_phi_K(field_: ImagQuadField, s: complex) -> complex:

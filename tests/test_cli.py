@@ -510,10 +510,15 @@ def _assert_config_error(tmp_path, capsys, command, text, message):
      "ball-kernel amplitude leaves float64 range for dimension 100000 at t = 5, R = 0.4"),
     ("qe-scan", ("rule = fixed\n    r = 0.4", "rule = planck\n    a = 1e6"),
      "ball-kernel amplitude leaves float64 range for dimension 2 at t = 5, R = inf"),
+    ("qe-scan", ("t_start = 5.0\n    t_stop = 9.0\n    t_step = 2.0\n\n    [radius]\n"
+                 "    rule = fixed\n    r = 0.4",
+                 "t_start = 0.5\n    t_stop = 2.5\n    t_step = 1.0\n\n    [radius]\n"
+                 "    rule = planck\n    a = 1.0"),
+     "radius rules t^-delta and planck need t > 1, got t = 0.5"),
 ], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf",
         "grid_size", "variance_window_size", "quadrature_nodes", "variance_nodes",
         "monte_carlo_nodes", "norm_cap_on_h2", "truncation_on_bianchi", "kernel_range",
-        "radius_overflow"])
+        "radius_overflow", "radius_rule_t_at_most_one"])
 def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, command,
                                                 edit, message):
     # a non-finite or oversized grid would hang or exhaust memory in

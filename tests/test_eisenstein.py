@@ -23,7 +23,7 @@ from quelab.eisenstein import (
     _reduce_h2,
     _reduce_h3,
 )
-from quelab.lattice import ImagQuadField
+from quelab.lattice import ImagQuadField, enumerate_by_norm
 from quelab.zeta import dirichlet_L, riemann_zeta
 
 QI = ImagQuadField(-1)
@@ -140,6 +140,23 @@ def test_h3_second_field_two_routes():
     got = ev.value(P, 2.5)
     assert got.real == pytest.approx(H3_D7_25, abs=1e-9)
     assert abs(got - eis_h3_lattice(P, 2.5, fld)) <= 1e-10 * abs(got)
+
+
+def test_h3_coset_builds_each_prime_mask_once(monkeypatch):
+    """One `_not_divisible` call per distinct prime dividing some c in the sum."""
+    calls = []
+    not_divisible = eisenstein._not_divisible
+
+    def counted(du, dv, p):
+        calls.append(p)
+        return not_divisible(du, dv, p)
+
+    monkeypatch.setattr(eisenstein, "_not_divisible", counted)
+    cap = 12
+    eis_h3_coset(PointH3(0.3 + 0.2j, 1.1), 2.5, QI, cap=cap)
+    primes = {p for c in enumerate_by_norm(QI, cap * cap) if eisenstein._in_sector(c)
+              for p in eisenstein._prime_divisors(c)}
+    assert len(calls) == len(set(calls)) and set(calls) == primes
 
 
 def test_h3_fourier_vs_coset_real_s():

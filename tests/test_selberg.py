@@ -173,6 +173,10 @@ def test_kernel_guards():
         BallKernel(1, 0.5)
     with pytest.raises(ValueError):
         BallKernel(3, 0.0)
+    # h is even in t, so the admitted strip is |Im t| <= (n - 1) / 2 on both sides
+    for t in (5j, -5j):
+        with pytest.raises(ValueError, match="outside the admitted strip"):
+            h_char(BallKernel(3, 0.5), t)
 
 
 def test_mean_value_constant_function():
