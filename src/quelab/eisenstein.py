@@ -200,7 +200,7 @@ _CHEB_CHOP = 0.25 * _CHEB_TOL  # coefficients past the last one above this are c
 _CHEB_U = np.cos(np.arange(_CHEB_GRID + 1) * (math.pi / _CHEB_GRID))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(_CHEB_LEVELS))
 def _cheb_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(node indices, two check-point indices near theta = pi/8 and 7 pi/8,
     node values -> Chebyshev coefficients) at level n; checks are next-level nodes."""
@@ -673,9 +673,12 @@ def eis_h3_coset(P: PointH3, S: complex, field_: ImagQuadField, cap: int = 40) -
             continue
         mask = np.ones(du.shape, dtype=bool)
         for p in _prime_divisors(c):
-            if p not in masks:
-                masks[p] = _not_divisible(du, dv, p)
-            mask &= masks[p]
+            pmask = masks.get(p)
+            if pmask is None:
+                pmask = _not_divisible(du, dv, p)
+                if 2 * p.norm() <= cap * cap:  # a larger p divides one in-sector c only
+                    masks[p] = pmask
+            mask &= pmask
         w = c.to_complex() * z + dz[mask]
         base = r / (w.real * w.real + w.imag * w.imag + c.norm() * r * r)
         if real_S:

@@ -53,7 +53,9 @@ def _log_sin_pi(s: complex) -> complex:
 
 
 def log_gamma(s: complex) -> complex:
-    """Principal-branch log of the Gamma function (Lanczos plus reflection)."""
+    """log Gamma(s) by Lanczos, reflected for Re s < 1/2: the continuous log
+    Gamma on Re s >= 1/2 (Im not reduced: 360.5 at s = 1/2 + 100i), log Gamma
+    modulo 2 pi i below (2 pi off it at s = -2.5 + i); callers use exp or Re."""
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == math.floor(s.real):
         raise ValueError(f"log_gamma pole at s = {s}")

@@ -5,9 +5,12 @@ integral formula) cross-check each other.  Epstein zeta functions of every
 rank are continued by one incomplete-gamma (theta) splitting,
 `epstein_lattice_sum`, which is manifestly symmetric under s -> n/2 - s; a
 binary form goes through it on its Gram matrix (`epstein_Z`).  Moment
-integrals use composite Gauss-Legendre panels; the Dedekind fourth moment
-shares quadrature nodes between the direct integral and its Holder majorant
-so the inequality is exact even discretely.
+integrals take 10 Gauss-Legendre nodes on each quarter panel of [0, T] and
+need no adaptivity: the integrands are analytic for |Im t| < 1/2 (the poles
+of zeta(1/2 +- it) are at t = -+i/2), so on panels of half-width 1/8 the rule
+converges like (4 + sqrt 17)^{-20}.  The Dedekind fourth moment shares these
+nodes between the direct integral and its Holder majorant so the inequality
+is exact even discretely.
 """
 from __future__ import annotations
 
@@ -208,7 +211,7 @@ def dirichlet_L(s: complex, d_K: int) -> complex:
 
 def dedekind_zeta(field_: ImagQuadField, s: complex) -> complex:
     """zeta_K = zeta(s) L(s, chi_{d_K}) for the imaginary quadratic field."""
-    return hurwitz_zeta(s, 1.0) * dirichlet_L(s, field_.discriminant)
+    return riemann_zeta(s) * dirichlet_L(s, field_.discriminant)
 
 
 # ----------------------------------------------------------------------------
@@ -421,28 +424,13 @@ def scattering_phi_K(field_: ImagQuadField, s: complex) -> complex:
 # Moment integrals on the critical line.
 
 
-def _panel_integral(f, lo: float, hi: float, depth: int = 0) -> float:
-    u10, w10 = gl_nodes(lo, hi, 10)
-    coarse_u, coarse_w = gl_nodes(lo, hi, 5)
-    fine = float(np.dot([f(t) for t in u10], w10))
-    coarse = float(np.dot([f(t) for t in coarse_u], coarse_w))
-    if abs(fine - coarse) <= max(1e-10, 1e-8 * abs(fine)) or depth >= 4:
-        return fine
-    mid = 0.5 * (lo + hi)
-    return _panel_integral(f, lo, mid, depth + 1) + _panel_integral(f, mid, hi, depth + 1)
-
-
-def _quarter_panels(T: float) -> list[tuple[float, float]]:
-    """[0, T] cut at multiples of 1/4, the last panel ending at T."""
+def _quarter_panel_rules(T: float):
+    """Yield the moment rule's (nodes, weights) per panel of [0, T], cut at multiples of 1/4."""
     edges = [0.25 * k for k in range(int(T / 0.25) + 1)]
     if edges[-1] < T - 1e-12:
         edges.append(T)
-    return list(zip(edges, edges[1:]))
-
-
-def _line_integral(f, T: float) -> float:
-    pieces = [_panel_integral(f, lo, hi) for lo, hi in _quarter_panels(T)]
-    return math.fsum(pieces)
+    for lo, hi in zip(edges, edges[1:]):
+        yield gl_nodes(lo, hi, 10)
 
 
 def zeta_moment(k: int, T: float) -> float:
@@ -454,7 +442,8 @@ def zeta_moment(k: int, T: float) -> float:
     if T == 0.0:
         return 0.0
     power = 2 * k
-    return _line_integral(lambda t: abs(riemann_zeta(complex(0.5, t))) ** power, T)
+    return math.fsum(float(np.dot([abs(riemann_zeta(complex(0.5, t))) ** power for t in u], w))
+                     for u, w in _quarter_panel_rules(T))
 
 
 @dataclass(frozen=True)
@@ -475,16 +464,11 @@ def dedekind_fourth_moment(field_: ImagQuadField, T: float) -> FourthMomentResul
     if T == 0.0:
         return FourthMomentResult(0.0, 0.0)
     d_K = field_.discriminant
-    direct_parts = []
-    twelfth_parts = []
-    sixth_parts = []
-    for lo, hi in _quarter_panels(T):
-        u, w = gl_nodes(lo, hi, 12)
+    parts = []
+    for u, w in _quarter_panel_rules(T):
         az = np.array([abs(riemann_zeta(complex(0.5, t))) for t in u])
         al = np.array([abs(dirichlet_L(complex(0.5, t), d_K)) for t in u])
-        direct_parts.append(float(np.dot(az**4 * al**4, w)))
-        twelfth_parts.append(float(np.dot(az**12, w)))
-        sixth_parts.append(float(np.dot(al**6, w)))
-    direct = math.fsum(direct_parts)
-    bound = math.fsum(twelfth_parts) ** (1.0 / 3.0) * math.fsum(sixth_parts) ** (2.0 / 3.0)
-    return FourthMomentResult(direct, bound)
+        parts.append((float(np.dot(az**4 * al**4, w)), float(np.dot(az**12, w)),
+                      float(np.dot(al**6, w))))
+    direct, twelfth, sixth = (math.fsum(col) for col in np.reshape(parts, (-1, 3)).T)
+    return FourthMomentResult(direct, twelfth ** (1.0 / 3.0) * sixth ** (2.0 / 3.0))

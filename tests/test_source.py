@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -82,6 +83,50 @@ def test_export_check_sees_stale_names():
     tree = ast.parse("from .a import b\nc, d = 1, 2\nK: int = 3\nclass E: pass\n"
                      "def f(): g = 1\n__all__ = ['b', 'c', 'd', 'K', 'E', 'f', 'g', 'Gone']\n")
     assert _stale_exports(tree) == ["g", "Gone"]
+
+
+def _caches_without_maxsize(tree: ast.Module, namespace: dict) -> list[str]:
+    """Top-level functions cached by functools without a finite integer maxsize.
+
+    The decorator must pass maxsize itself (bare `lru_cache` and `cache` do
+    not); its value is read from the function that `namespace` binds.
+    """
+    bad: list[str] = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name not in ("lru_cache", "cache"):
+                continue
+            size = namespace[node.name].cache_parameters()["maxsize"]
+            passed = isinstance(dec, ast.Call) and bool(
+                dec.args or any(k.arg == "maxsize" for k in dec.keywords))
+            if not (passed and isinstance(size, int)):
+                bad.append(f"{node.name}: maxsize={size!r}" + ("" if passed else " by default"))
+    return bad
+
+
+@pytest.mark.parametrize("path", _SRC, ids=[p.name for p in _SRC])
+def test_every_lru_cache_is_bounded(path):
+    module = importlib.import_module(f"quelab.{path.stem}")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unsized = _caches_without_maxsize(tree, vars(module))
+    assert not unsized, f"{path.name} has caches without a finite maxsize: {unsized}"
+
+
+def test_cache_check_sees_a_missing_maxsize():
+    source = ("import functools\nfrom functools import lru_cache, cache\nLEVELS = (1, 2)\n"
+              "@lru_cache(maxsize=None)\ndef a(n): return n\n"
+              "@functools.lru_cache(maxsize=len(LEVELS))\ndef b(n): return n\n"
+              "@cache\ndef c(n): return n\n"
+              "@functools.lru_cache\ndef d(n): return n\n"
+              "def e(n): return n\n")
+    namespace: dict = {}
+    exec(compile(source, "<fixture>", "exec"), namespace)
+    assert _caches_without_maxsize(ast.parse(source), namespace) == [
+        "a: maxsize=None", "c: maxsize=None by default", "d: maxsize=128 by default"]
 
 
 # Installs perfbench's tracer in a fresh interpreter and prints the bindings

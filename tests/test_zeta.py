@@ -86,6 +86,51 @@ def test_hurwitz_domain():
     assert hurwitz_zeta(3.0, 1.0).real == pytest.approx(riemann_zeta(3.0).real, rel=1e-12)
 
 
+def test_hurwitz_zeta_matches_mpmath():
+    """hurwitz_zeta(s, a) against 30-digit mpmath, Re s from 0.05 to 2 and
+    |Im s| <= 20.  The error is measured as Euler-Maclaurin stops, absolute
+    below |zeta| = 1 and relative above; the worst measured is 1.4e-14, at
+    s = 0.05 + 20i, a = 1/2."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for a in (1.0, 0.25, 0.5, 0.9):
+            for x in (0.05, 0.1, 0.15, 0.19, 0.5, 0.8, 2.0):
+                for y in (0.0, 0.5, 3.0, 9.0, 20.0):
+                    s = complex(x, y)
+                    want = complex(mpmath.zeta(mpmath.mpc(x, y), a))
+                    err = abs(hurwitz_zeta(s, a) - want) / max(1.0, abs(want))
+                    assert err <= 2.5e-14, (s, a, err)
+
+
+def test_hurwitz_zeta_loss_left_of_the_strip():
+    """Known Euler-Maclaurin loss at Re s < 0, where the head terms k^{-s}
+    grow and cancel: at s = -1.2 + 2i, a = 1 the relative error against
+    30-digit mpmath is 1.65e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    s = complex(-1.2, 2.0)
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+    assert abs(hurwitz_zeta(s, 1.0) - want) <= 3e-12 * abs(want)
+
+
+def test_dirichlet_l_matches_mpmath():
+    """dirichlet_L for the nine class-number-one fields against 20-digit
+    mpmath.dirichlet, with the character built from Euler's criterion mod
+    |d_K| (d_K = -4 and -8 written out), not from `kronecker_chi`.  Error
+    measured as in the Hurwitz oracle; the worst measured is 1.7e-14."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        for D in ALL_D:
+            d = ImagQuadField(D).discriminant
+            q = -d
+            chi = ([0, 1, 0, -1] if d == -4 else [0, 1, 0, 1, 0, -1, 0, -1] if d == -8 else
+                   [0] + [1 if pow(a, (q - 1) // 2, q) == 1 else -1 for a in range(1, q)])
+            for s in (complex(0.1, 7.0), complex(0.5, 20.0)):
+                want = complex(mpmath.dirichlet(mpmath.mpc(s.real, s.imag), chi))
+                err = abs(dirichlet_L(s, d) - want) / max(1.0, abs(want))
+                assert err <= 3.4e-14, (D, s, err)
+
+
 def test_dirichlet_l_examples():
     assert dirichlet_L(2.0, -4).real == pytest.approx(CATALAN, abs=1e-10)
     assert dirichlet_L(1.0, -4).real == pytest.approx(math.pi / 4.0, abs=1e-10)
@@ -291,6 +336,19 @@ def test_zeta_moment_basics():
         zeta_moment(3, 10.0)
     with pytest.raises(ValueError):
         zeta_moment(2, -1.0)
+
+
+@pytest.mark.parametrize("k", [2, 6])
+def test_zeta_moment_matches_mpmath_quadrature(k):
+    """zeta_moment(k, 10) against mpmath's quadrature of |zeta(1/2 + it)|^{2k}
+    on [0, 10] at 20 digits.  Both integrate from 0: a difference of two
+    moments would cancel, losing about 1e-7 at k = 6.  The measured gaps are
+    2.4e-16 at k = 2 and 4.8e-15 at k = 6."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        want = float(mpmath.quad(lambda t: abs(mpmath.zeta(mpmath.mpc(0.5, t))) ** (2 * k),
+                                 mpmath.linspace(0, 10, 11)))
+    assert abs(zeta_moment(k, 10.0) - want) <= 1e-13 * want
 
 
 def test_dedekind_fourth_moment_holder():
