@@ -53,6 +53,12 @@ _ALLOWED_KEYS = {
 }
 
 
+# largest t a moments grid may reach: a row integrates over [0, t] with
+# 40 t nodes of about 2 t + 1 Euler-Maclaurin terms each, so its cost grows
+# like t^2
+MAX_MOMENT_T = 1000.0
+
+
 class ConfigError(Exception):
     """Invalid experiment configuration; message names the offending field."""
 
@@ -242,6 +248,10 @@ def load_config(path: str, kind_override: str | None = None,
         raise ConfigError("omega_scan runs on surface h2 (arithmetic-point bound)")
     if kind == "moments" and surface != "h2":
         raise ConfigError("moments runs on surface h2")
+    if kind == "moments":
+        top = max(_grid_values(t_grid), default=0.0)
+        if top > MAX_MOMENT_T:
+            raise ConfigError(f"moments grid reaches t = {top:g}, above {MAX_MOMENT_T:g}")
 
     seed = _get(exp, "seed", int, default=0)
     if seed_override is not None:

@@ -1,7 +1,10 @@
 """Zeta and L-functions on the critical strip, plus moment integrals.
 
 Two independent zeta backends (Euler-Maclaurin and the Riemann-Siegel
-integral formula) cross-check each other.  Epstein zeta functions of every
+integral formula) cross-check each other.  Euler-Maclaurin runs on arrays:
+`_hurwitz_reg` broadcasts s against x, and a point's value is the one it
+would get alone, so `dirichlet_L` takes all its residues in one call and a
+moment row all its nodes.  Epstein zeta functions of every
 rank are continued by one incomplete-gamma (theta) splitting,
 `epstein_lattice_sum`, which is manifestly symmetric under s -> n/2 - s; a
 binary form goes through it on its Gram matrix (`epstein_Z`).  Moment
@@ -18,10 +21,11 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from ._quad import gl_nodes
+from ._quad import gauss_legendre, gl_nodes
 from . import _rs
 from .lattice import BinaryQuadraticForm, ImagQuadField, kronecker_chi
 from .specfun import log_gamma
@@ -44,8 +48,8 @@ __all__ = [
     "default_backend",
 ]
 
-# B_{2j} / (2j)! for j = 1..8
-_B_OVER_FACT = (
+# B_{2j} / (2j)! for j = 1..9; the last term is the tail estimator
+_B_OVER_FACT = np.array([
     1.0 / 12.0,
     -1.0 / 720.0,
     1.0 / 30240.0,
@@ -54,8 +58,8 @@ _B_OVER_FACT = (
     -691.0 / 1307674368000.0,
     1.0 / 74724249600.0,
     -3617.0 / 10670622842880000.0,
-)
-_B18_OVER_FACT = 43867.0 / (798.0 * 6402373705728000.0)  # tail estimator
+    43867.0 / (798.0 * 6402373705728000.0),
+])
 
 # Euler-Maclaurin stops once its tail estimate is below
 # max(abs tol, rel tol * |value|), or at the head-term cap
@@ -63,50 +67,110 @@ _EM_ABS_TOL = 1e-12
 _EM_REL_TOL = 1e-10
 _EM_MAX_TERMS = 60_000
 
+# Euler-Maclaurin works on runs of at most _EM_POINTS points, and sums
+# their heads in pieces of at most _EM_BLOCK terms (a point with more takes
+# a piece of its own), so memory does not grow with the size of a call
+_EM_POINTS = 4096
+_EM_BLOCK = 1 << 16
 
-def _cexpm1(z: complex) -> complex:
-    if abs(z) < 0.5:
-        total = 0.0 + 0.0j
-        term = 1.0 + 0.0j
-        for k in range(1, 24):
-            term *= z / k
-            total += term
-            if abs(term) < 1e-18 * max(abs(total), 1e-300):
-                break
-        return total
-    return cmath.exp(z) - 1.0
+# the Bernoulli terms per point, j = 0..8: the Pochhammer products
+# s (s+1) ... (s+2j) are every other column of the cumulative product of
+# s + 0, ..., s + 16, and they meet the powers M^{-1}, M^{-3}, ..., M^{-17}
+_SHIFTS = np.arange(17.0)
+_M_POWERS = -np.arange(1.0, 19.0, 2.0)
 
 
-def _hurwitz_reg(s: complex, x: float) -> complex:
-    """zeta(s, x) - 1/(s-1): the pole-free part, entire in s."""
-    s = complex(s)
-    N = max(20, int(2.0 * abs(s.imag)) + 1)
-    N = min(N, _EM_MAX_TERMS)
-    while True:
-        k = np.arange(N, dtype=float) + x
-        head = complex(np.sum(np.exp(-s * np.log(k))))
-        M = N + x
-        logM = math.log(M)
-        # (M^{1-s} - 1)/(s - 1), continuous through s = 1
-        w = s - 1.0
-        if abs(w) < 1e-8:
-            boundary = logM * (-1.0 + 0.5 * w * logM)
-        else:
-            boundary = _cexpm1(-w * logM) / w
-        Mpow_s = cmath.exp(-s * logM)
-        total = head + boundary + 0.5 * Mpow_s
-        poch = s
-        Mpow = Mpow_s / M
-        bern = 0.0 + 0.0j
-        for j, coef in enumerate(_B_OVER_FACT):
-            bern += coef * poch * Mpow
-            poch *= (s + 2 * j + 1) * (s + 2 * j + 2)
-            Mpow /= M * M
-        total += bern
-        tail = _B18_OVER_FACT * abs(poch) * abs(Mpow)
-        if tail <= max(_EM_ABS_TOL, _EM_REL_TOL * abs(total)) or N >= _EM_MAX_TERMS:
-            return total
-        N = min(2 * N, _EM_MAX_TERMS)
+def _boundary_near_pole(w: complex, logM: float) -> complex:
+    """(M^{-w} - 1)/w for |w log M| < 1/2, from the power series of exp."""
+    if abs(w) < 1e-8:
+        return logM * (-1.0 + 0.5 * w * logM)
+    z = -w * logM
+    total = 0.0 + 0.0j
+    term = 1.0 + 0.0j
+    for k in range(1, 24):
+        term *= z / k
+        total += term
+        if abs(term) < 1e-18 * max(abs(total), 1e-300):
+            break
+    return total / w
+
+
+def _em_heads(s: np.ndarray, x: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """The head sums sum_{k < N} (k + x)^{-s}, one per point.
+
+    Points with the same N form the rows of one matrix, and a head is
+    `np.add.reduce` over its own row: the sum a lone point would get, so a
+    value does not depend on the other points.
+    """
+    head = np.empty(s.size, dtype=complex)
+    order = np.argsort(N, kind="stable")
+    sorted_N = N[order]
+    lo = 0
+    while lo < s.size:
+        n = int(sorted_N[lo])
+        hi = min(int(sorted_N.searchsorted(n, side="right")), lo + max(1, _EM_BLOCK // n))
+        rows = order[lo:hi]
+        k = np.arange(n) + x[rows, None]
+        head[rows] = np.add.reduce(np.exp(-s[rows, None] * np.log(k)), axis=1)
+        lo = hi
+    return head
+
+
+def _em_run(s: np.ndarray, x: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin from N head terms per point.
+
+    A point whose tail estimate is not below max(_EM_ABS_TOL,
+    _EM_REL_TOL |value|) is computed again at twice its N, up to
+    _EM_MAX_TERMS.
+    """
+    M = N + x
+    logM = np.log(M)
+    Mpow_s = np.exp(-s * logM)
+    # (M^{1-s} - 1)/(s - 1), continuous through s = 1; where it cancels,
+    # |(s - 1) log M| < 1/2, the point takes the series
+    w = s - 1.0
+    near = np.abs(w * logM) < 0.5
+    if near.any():
+        boundary = (M * Mpow_s - 1.0) / np.where(near, 1.0, w)
+        for i in near.nonzero()[0]:
+            boundary[i] = _boundary_near_pole(complex(w[i]), float(logM[i]))
+    else:
+        boundary = (M * Mpow_s - 1.0) / w
+    terms = (np.multiply.accumulate(s[:, None] + _SHIFTS, axis=1)[:, ::2]
+             * (_B_OVER_FACT * M[:, None] ** _M_POWERS))
+    total = (_em_heads(s, x, N) + boundary
+             + Mpow_s * (0.5 + np.add.reduce(terms[:, :8], axis=1)))
+    tail = np.abs(terms[:, 8] * Mpow_s)
+    redo = ((tail > np.maximum(_EM_ABS_TOL, _EM_REL_TOL * np.abs(total)))
+            & (N < _EM_MAX_TERMS)).nonzero()[0]
+    if redo.size:
+        total[redo] = _em_run(s[redo], x[redo], np.minimum(2 * N[redo], _EM_MAX_TERMS))
+    return total
+
+
+def _hurwitz_reg(s, x):
+    """zeta(s, x) - 1/(s-1): the pole-free part, entire in s.
+
+    Euler-Maclaurin with N = max(20, 2|Im s| + 1) head terms and eight
+    Bernoulli corrections; N doubles, up to _EM_MAX_TERMS, until the tail
+    estimate is below max(_EM_ABS_TOL, _EM_REL_TOL |value|).  s and x
+    broadcast against each other, and every point keeps its own N.  A
+    scalar pair gives a Python complex.
+    """
+    s = np.asarray(s, dtype=complex)
+    x = np.asarray(x, dtype=float)
+    if s.shape != x.shape:
+        s, x = np.broadcast_arrays(s, x)
+    shape = s.shape
+    s, x = s.ravel(), x.ravel()
+    if not np.logical_and.reduce(np.isfinite(s)):
+        raise ValueError("s must be finite")
+    N = (2.0 * np.abs(s.imag)).clip(19, _EM_MAX_TERMS - 1).astype(np.int64) + 1
+    out = np.empty(s.size, dtype=complex)
+    for lo in range(0, s.size, _EM_POINTS):
+        run = slice(lo, lo + _EM_POINTS)
+        out[run] = _em_run(s[run], x[run], N[run])
+    return complex(out[0]) if not shape else out.reshape(shape)
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
@@ -190,23 +254,33 @@ def _is_fundamental(d: int) -> bool:
     return d % 4 == 0 and (d // 4) % 4 in (2, 3) and _squarefree(-(d // 4))
 
 
-def dirichlet_L(s: complex, d_K: int) -> complex:
+@lru_cache(maxsize=64)
+def _character(d_K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The residues a / |d_K| where chi_{d_K}(a) != 0, and chi there."""
+    if not _is_fundamental(d_K):
+        raise ValueError(f"{d_K} is not a negative fundamental discriminant")
+    a = [a for a in range(1, -d_K) if kronecker_chi(d_K, a)]
+    x = np.array(a) / -d_K
+    chi = np.array([kronecker_chi(d_K, b) for b in a], dtype=float)
+    x.flags.writeable = chi.flags.writeable = False
+    return x, chi
+
+
+def dirichlet_L(s, d_K: int):
     """L(s, chi) for the primitive quadratic character of discriminant d_K.
 
     Hurwitz decomposition q^{-s} sum_a chi(a) zeta(s, a/q); the character
     sums to zero over a period, so the Hurwitz poles cancel exactly and the
-    pole-free form below is valid at every s including s = 1.
+    pole-free form below is valid at every s including s = 1.  s may be an
+    array: all its points and residues go into one `_hurwitz_reg` call.  A
+    scalar s gives a Python complex.
     """
-    if not _is_fundamental(d_K):
-        raise ValueError(f"{d_K} is not a negative fundamental discriminant")
-    s = complex(s)
-    q = -d_K
-    total = 0.0 + 0.0j
-    for a in range(1, q):
-        chi = kronecker_chi(d_K, a)
-        if chi:
-            total += chi * _hurwitz_reg(s, a / q)
-    return cmath.exp(-s * math.log(q)) * total
+    x, chi = _character(d_K)
+    s = np.asarray(s, dtype=complex)
+    terms = (_hurwitz_reg(s[..., None], x) * chi).ravel()
+    total = np.add.reduceat(terms, np.arange(0, terms.size, x.size)).reshape(s.shape)
+    val = np.exp(-s * math.log(-d_K)) * total
+    return complex(val) if val.ndim == 0 else val
 
 
 def dedekind_zeta(field_: ImagQuadField, s: complex) -> complex:
@@ -424,26 +498,54 @@ def scattering_phi_K(field_: ImagQuadField, s: complex) -> complex:
 # Moment integrals on the critical line.
 
 
-def _quarter_panel_rules(T: float):
-    """Yield the moment rule's (nodes, weights) per panel of [0, T], cut at multiples of 1/4."""
-    edges = [0.25 * k for k in range(int(T / 0.25) + 1)]
-    if edges[-1] < T - 1e-12:
-        edges.append(T)
-    for lo, hi in zip(edges, edges[1:]):
-        yield gl_nodes(lo, hi, 10)
+# |zeta(1/2 + it)| at the moment rule's nodes on the full quarter panels
+# [j/4, (j+1)/4], one row per panel j.  Every moment integral starts at 0,
+# so the panels computed so far are a prefix of the rows; at most
+# _PANEL_LIMIT rows are kept, and panels past them are recomputed per call.
+_PANEL_LIMIT = 4096
+_panel_table = np.empty((0, 10))
+
+
+def _moment_rule(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t, weights and |zeta(1/2 + it)| of the moment rule on [0, T].
+
+    One row per quarter panel [j/4, (j+1)/4] of [0, T], the last one ending
+    at T, each with 10 Gauss-Legendre nodes.  Full panels come from
+    `_panel_table` when it holds them; the others, with the partial panel,
+    take one `_hurwitz_reg` call.  A value does not depend on the call that
+    computed it, so a moment is the same whichever rows ran before it.
+    """
+    global _panel_table
+    if not math.isfinite(T):
+        raise ValueError("T must be finite")
+    if T < 0.0:
+        raise ValueError("T must be nonnegative")
+    table = _panel_table
+    x, w = gauss_legendre(10)
+    full = int(T / 0.25)
+    t = 0.25 * np.arange(full)[:, None] + 0.125 * (x + 1.0)
+    weights = np.broadcast_to(0.125 * w, (full, 10))
+    if 0.25 * full < T - 1e-12:
+        last_t, last_w = gl_nodes(0.25 * full, T, 10)
+        t = np.vstack([t, last_t])
+        weights = np.vstack([weights, last_w])
+    known = table[:full]
+    s = 0.5 + 1j * t[len(known):]
+    fresh = np.abs(_hurwitz_reg(s, 1.0) + 1.0 / (s - 1.0))
+    keep = min(full, _PANEL_LIMIT) - len(known)
+    if keep > 0:
+        # extends the table this call read, so a concurrent call can at
+        # worst replace a longer table by a shorter prefix
+        _panel_table = np.vstack([table, fresh[:keep]])
+    return t, weights, np.vstack([known, fresh])
 
 
 def zeta_moment(k: int, T: float) -> float:
     """Integral over [0, T] of |zeta(1/2 + it)|^{2k}, k in {2, 6}."""
     if k not in (2, 6):
         raise ValueError("k must be 2 or 6")
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
-    if T == 0.0:
-        return 0.0
-    power = 2 * k
-    return math.fsum(float(np.dot([abs(riemann_zeta(complex(0.5, t))) ** power for t in u], w))
-                     for u, w in _quarter_panel_rules(T))
+    _, w, az = _moment_rule(T)
+    return math.fsum(np.einsum("ij,ij->i", az ** (2 * k), w))
 
 
 @dataclass(frozen=True)
@@ -459,16 +561,8 @@ def dedekind_fourth_moment(field_: ImagQuadField, T: float) -> FourthMomentResul
     (twelfth moment of zeta)^{1/3} (sixth moment of L)^{2/3} are evaluated
     on one shared node set, so value <= holder_bound holds exactly.
     """
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
-    if T == 0.0:
-        return FourthMomentResult(0.0, 0.0)
-    d_K = field_.discriminant
-    parts = []
-    for u, w in _quarter_panel_rules(T):
-        az = np.array([abs(riemann_zeta(complex(0.5, t))) for t in u])
-        al = np.array([abs(dirichlet_L(complex(0.5, t), d_K)) for t in u])
-        parts.append((float(np.dot(az**4 * al**4, w)), float(np.dot(az**12, w)),
-                      float(np.dot(al**6, w))))
-    direct, twelfth, sixth = (math.fsum(col) for col in np.reshape(parts, (-1, 3)).T)
+    t, w, az = _moment_rule(T)
+    al = np.abs(dirichlet_L(0.5 + 1j * t, field_.discriminant))
+    direct, twelfth, sixth = (math.fsum(np.einsum("ij,ij->i", f, w))
+                              for f in (az**4 * al**4, az**12, al**6))
     return FourthMomentResult(direct, twelfth ** (1.0 / 3.0) * sixth ** (2.0 / 3.0))

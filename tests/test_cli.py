@@ -10,6 +10,7 @@ import pytest
 
 from quelab.cli import (
     COLUMNS,
+    MAX_MOMENT_T,
     ConfigError,
     ExperimentConfig,
     ResultRow,
@@ -271,6 +272,22 @@ def test_config_error_surface_restrictions(tmp_path):
         load_config(moments_h3)
 
 
+def test_moments_grid_may_reach_max_moment_t(tmp_path):
+    # the limit counts the grid's largest point, not t_stop
+    text = """\
+        [experiment]
+        kind = moments
+
+        [grid]
+        t_start = 990.0
+        t_stop = {stop}
+        t_step = 10.0
+        """
+    assert load_config(_write(tmp_path, text.format(stop="1009.0"))).t_values()[-1] == MAX_MOMENT_T
+    with pytest.raises(ConfigError, match="moments grid reaches t = 1010, above 1000"):
+        load_config(_write(tmp_path, text.format(stop="1010.0")))
+
+
 def test_config_error_experiment_scalars(tmp_path):
     bad_method = _write(tmp_path, _QE_MC.replace(
         "method = monte_carlo", "method = sampling"))
@@ -515,10 +532,17 @@ def _assert_config_error(tmp_path, capsys, command, text, message):
                  "t_start = 0.5\n    t_stop = 2.5\n    t_step = 1.0\n\n    [radius]\n"
                  "    rule = planck\n    a = 1.0"),
      "radius rules t^-delta and planck need t > 1, got t = 0.5"),
+    ("moments", ("kind = qe_scan\n    surface = h2\n    seed = 3\n    order = 12\n"
+                 "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
+                 "    t_start = 5.0\n    t_stop = 9.0",
+                 "kind = moments\n    surface = h2\n    seed = 3\n    order = 12\n"
+                 "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
+                 "    t_start = 5.0\n    t_stop = 1001.0"),
+     "moments grid reaches t = 1001, above 1000"),
 ], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf",
         "grid_size", "variance_window_size", "quadrature_nodes", "variance_nodes",
         "monte_carlo_nodes", "norm_cap_on_h2", "truncation_on_bianchi", "kernel_range",
-        "radius_overflow", "radius_rule_t_at_most_one"])
+        "radius_overflow", "radius_rule_t_at_most_one", "moments_t_above_max"])
 def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, command,
                                                 edit, message):
     # a non-finite or oversized grid would hang or exhaust memory in
