@@ -249,7 +249,10 @@ def load_config(path: str, kind_override: str | None = None,
     if kind == "moments" and surface != "h2":
         raise ConfigError("moments runs on surface h2")
     if kind == "moments":
-        top = max(_grid_values(t_grid), default=0.0)
+        ts = _grid_values(t_grid)
+        if ts and ts[0] <= 1.0:  # the k = 2 main term t log(t)^4 / (2 pi^2) is 0 at t = 1
+            raise ConfigError(f"moments need t > 1, got t = {ts[0]:g}")
+        top = max(ts, default=0.0)
         if top > MAX_MOMENT_T:
             raise ConfigError(f"moments grid reaches t = {top:g}, above {MAX_MOMENT_T:g}")
 

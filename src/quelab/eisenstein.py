@@ -37,7 +37,7 @@ from .lattice import (
     divisor_sigma,
     enumerate_by_norm,
 )
-from .lattice import _CLASS_NUMBER_ONE, _factor_int, _prime_above
+from .lattice import _CLASS_NUMBER_ONE, _factor_int, _ideal_factorization, _prime_above
 from .selberg import BallKernel, h_char
 from .specfun import bessel_K_many, log_gamma
 from .zeta import (
@@ -494,32 +494,48 @@ def _in_sector(w: AlgebraicInt) -> bool:
     return w.u > 0 and w.v >= 0
 
 
-def _canonical_key(w: AlgebraicInt) -> tuple[int, int]:
-    for unit in w.field.units():
-        rep = w * unit
-        if _in_sector(rep):
-            return rep.u, rep.v
-    raise ArithmeticError("no associate in the fundamental sector")
+# The s-independent arithmetic of each field, grown to the largest cap asked
+# for: (cap, omega values, norms, factorization-pattern index of each omega,
+# first omega of each pattern, pattern -> index), sorted by (norm, angle).
+# Patterns are numbered in order of first appearance, so a prefix of the
+# omegas holds patterns 0 .. the largest index among them.
+_H3_FIELD_TABLES: dict[ImagQuadField, tuple] = {}
+
+
+def _h3_field_table(field_: ImagQuadField, cap: int) -> tuple:
+    """The field's table up to at least `cap`; growth factors the new shell only."""
+    table = _H3_FIELD_TABLES.get(field_) or (
+        0, np.empty(0, complex), np.empty(0, np.int64), np.empty(0, np.intp), (), {})
+    if table[0] >= cap:
+        return table
+    done, zvals, norms, kinds, reps, index = table
+    shell = enumerate_by_norm(field_, cap, done)
+    reps, index, fresh = list(reps), dict(index), []
+    for e in shell:
+        k = index.setdefault(tuple(_ideal_factorization(e)), len(reps))
+        if k == len(reps):
+            reps.append(e)
+        fresh.append(k)
+    table = _H3_FIELD_TABLES[field_] = (
+        cap, np.concatenate([zvals, np.array([e.to_complex() for e in shell], dtype=complex)]),
+        np.concatenate([norms, np.array([e.norm() for e in shell], dtype=np.int64)]),
+        np.concatenate([kinds, np.array(fresh, dtype=np.intp)]), reps, index)
+    return table
 
 
 @lru_cache(maxsize=64)
 def _h3_term_table(field_: ImagQuadField, s_key: tuple[float, float], cap: int):
     """(omega, |omega|^s sigma_{-s}(omega), distinct norms, index of each omega's
-    norm) for norm(omega) <= cap, sorted by norm: a smaller cap's is a prefix."""
+    norm) for norm(omega) <= cap, sorted by norm: a smaller cap's is a prefix.
+    sigma_{-s}(omega) depends on omega only through its factorization pattern,
+    so `divisor_sigma` runs once per pattern."""
     s = complex(*s_key)
-    els = enumerate_by_norm(field_, cap)
-    zvals = np.array([e.to_complex() for e in els], dtype=complex)
-    cache: dict[tuple[int, int], complex] = {}
-    coeff = np.empty(len(els), dtype=complex)
-    for i, e in enumerate(els):
-        key = _canonical_key(e)
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = divisor_sigma(field_, -s, e)
-        coeff[i] = got
-    norms, inverse = np.unique([e.norm() for e in els], return_inverse=True)
-    coeff = coeff * np.exp(s * np.log(np.sqrt(norms[inverse].astype(float))))
-    return zvals, coeff, norms, inverse
+    _, zvals, norms, kinds, reps, _ = _h3_field_table(field_, cap)
+    n = int(np.searchsorted(norms, cap, side="right"))
+    sig = np.array([divisor_sigma(field_, -s, e) for e in reps[:kinds[:n].max() + 1]])
+    norms, inverse = np.unique(norms[:n], return_inverse=True)
+    coeff = sig[kinds[:n]] * np.exp(s * np.log(np.sqrt(norms[inverse].astype(float))))
+    return zvals[:n], coeff, norms, inverse
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "ImagQuadField",
     "AlgebraicInt",
@@ -150,38 +152,31 @@ class BinaryQuadraticForm:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
 
-def enumerate_by_norm(field: ImagQuadField, Nmax: int) -> list[AlgebraicInt]:
-    """All nonzero elements with norm <= Nmax, sorted by (norm, angle)."""
+def enumerate_by_norm(field: ImagQuadField, Nmax: int, Nmin: int = 0) -> list[AlgebraicInt]:
+    """All elements with Nmin < norm <= Nmax, sorted by (norm, angle); by default
+    every nonzero element of norm <= Nmax."""
     if Nmax < 1:
         raise ValueError("Nmax must be >= 1")
     if Nmax > _ENUM_CAP:
         raise ValueError(f"Nmax above enumeration cap {_ENUM_CAP}")
-    absD = -field.D
-    out: list[AlgebraicInt] = []
+    absD, top = -field.D, 4 * Nmax if field.half_basis else Nmax
+    # row v is one run of u: |2u + v| <= isqrt(4 Nmax - |D| v^2) on the half basis,
+    # where norm = (u + v/2)^2 + |D| v^2 / 4; else |u| <= isqrt(Nmax - |D| v^2)
+    vmax = math.isqrt(top // absD)
+    rows = np.arange(-vmax, vmax + 1)
+    width = np.array([math.isqrt(top - absD * v * v) for v in rows.tolist()])
     if field.half_basis:
-        vmax = math.isqrt(4 * Nmax // absD)
-        for v in range(-vmax, vmax + 1):
-            # norm = (u + v/2)^2 + |D| v^2 / 4
-            rem4 = 4 * Nmax - absD * v * v
-            if rem4 < 0:
-                continue
-            half_width = math.isqrt(rem4)  # |2u + v| <= sqrt(rem4)
-            lo = (-v - half_width + 1) // 2  # ceil((-v - w)/2)
-            for u in range(lo, (half_width - v) // 2 + 1):
-                w = AlgebraicInt(field, u, v)
-                n = w.norm()
-                if 0 < n <= Nmax:
-                    out.append(w)
+        lo, hi = (1 - rows - width) // 2, (width - rows) // 2
     else:
-        vmax = math.isqrt(Nmax // absD)
-        for v in range(-vmax, vmax + 1):
-            umax = math.isqrt(Nmax - absD * v * v)
-            for u in range(-umax, umax + 1):
-                if u == 0 and v == 0:
-                    continue
-                out.append(AlgebraicInt(field, u, v))
-    out.sort(key=lambda w: (w.norm(), w.angle()))
-    return out
+        lo, hi = -width, width
+    counts = np.maximum(hi - lo + 1, 0)
+    v = np.repeat(rows, counts)
+    u = np.arange(v.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    norm = u * u + (u * v + v * v * ((1 + absD) // 4) if field.half_basis else absD * v * v)
+    keep = norm > Nmin
+    u, v, norm = u[keep], v[keep], norm[keep]
+    order = np.lexsort((np.angle(u + v * field.omega) % (2.0 * math.pi), norm))
+    return [AlgebraicInt(field, a, b) for a, b in zip(u[order].tolist(), v[order].tolist())]
 
 
 @lru_cache(maxsize=4096)
@@ -211,6 +206,7 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
 def _prime_above(field: ImagQuadField, p: int) -> AlgebraicInt:
     """An element of norm p, for p split or ramified. O(sqrt(p)) scan."""
     absD = -field.D

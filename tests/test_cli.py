@@ -539,10 +539,25 @@ def _assert_config_error(tmp_path, capsys, command, text, message):
                  "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
                  "    t_start = 5.0\n    t_stop = 1001.0"),
      "moments grid reaches t = 1001, above 1000"),
+    ("moments", ("kind = qe_scan\n    surface = h2\n    seed = 3\n    order = 12\n"
+                 "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
+                 "    t_start = 5.0\n    t_stop = 9.0\n    t_step = 2.0",
+                 "kind = moments\n    surface = h2\n    seed = 3\n    order = 12\n"
+                 "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
+                 "    t_start = -2.0\n    t_stop = 1.0\n    t_step = 1.0"),
+     "moments need t > 1, got t = -2"),
+    ("moments", ("kind = qe_scan\n    surface = h2\n    seed = 3\n    order = 12\n"
+                 "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
+                 "    t_start = 5.0",
+                 "kind = moments\n    surface = h2\n    seed = 3\n    order = 12\n"
+                 "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
+                 "    t_start = 1.0"),
+     "moments need t > 1, got t = 1"),
 ], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf",
         "grid_size", "variance_window_size", "quadrature_nodes", "variance_nodes",
         "monte_carlo_nodes", "norm_cap_on_h2", "truncation_on_bianchi", "kernel_range",
-        "radius_overflow", "radius_rule_t_at_most_one", "moments_t_above_max"])
+        "radius_overflow", "radius_rule_t_at_most_one", "moments_t_above_max",
+        "moments_t_negative", "moments_t_one"])
 def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, command,
                                                 edit, message):
     # a non-finite or oversized grid would hang or exhaust memory in

@@ -23,7 +23,7 @@ from quelab.eisenstein import (
     _reduce_h2,
     _reduce_h3,
 )
-from quelab.lattice import ImagQuadField, enumerate_by_norm
+from quelab.lattice import ImagQuadField, divisor_sigma, enumerate_by_norm
 from quelab.zeta import dirichlet_L, riemann_zeta
 
 QI = ImagQuadField(-1)
@@ -385,6 +385,66 @@ def test_h3_values_build_one_term_table(monkeypatch, ev, center, t):
     monkeypatch.setattr(eisenstein, "_h3_term_table", counted)
     ev.plan(s).values(*nodes)
     assert calls == [int(truncation.max())]
+
+
+@pytest.fixture
+def fresh_h3_tables(monkeypatch):
+    """Empty per-field tables and term-table cache; call it again to reset both."""
+    def reset():
+        monkeypatch.setattr(eisenstein, "_H3_FIELD_TABLES", {})
+        eisenstein._h3_term_table.cache_clear()
+    reset()
+    yield reset
+    eisenstein._h3_term_table.cache_clear()
+
+
+def _term_table_reference(field_, s, cap):
+    """The term table built element by element over `enumerate_by_norm`."""
+    els = enumerate_by_norm(field_, cap)
+    sigma = np.array([divisor_sigma(field_, -s, e) for e in els])
+    norms = np.array([e.norm() for e in els])
+    coeff = sigma * np.exp(s * np.log(np.sqrt(norms.astype(float))))
+    return (np.array([e.to_complex() for e in els]), coeff,
+            *np.unique(norms, return_inverse=True))
+
+
+@pytest.mark.parametrize("D", [-1, -2, -3, -7, -11, -19, -43, -67, -163])
+def test_h3_term_table_is_bitwise_the_per_element_sum(fresh_h3_tables, D):
+    """Caps asked in increasing, decreasing and random order, from empty
+    tables each time: no value depends on which caps came first."""
+    field_ = ImagQuadField(D)
+    caps = [1, 2, 5, 16, 25, 100, 441]
+    shuffled = np.random.default_rng(-D).permutation(caps).tolist()
+    for s in (complex(0.5, 0.0), complex(0.0, 7.0), complex(-0.2, 100.0)):
+        want = {cap: _term_table_reference(field_, s, cap) for cap in caps}
+        for order in (caps, caps[::-1], shuffled):
+            fresh_h3_tables()
+            for cap in order:
+                got = eisenstein._h3_term_table(field_, (s.real, s.imag), cap)
+                for a, b in zip(got, want[cap]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_h3_field_tables_are_bounded_and_factor_each_element_once(monkeypatch, fresh_h3_tables):
+    """One entry per field, grown to the largest cap asked for; over several
+    caps and spectral parameters each element of Z[i] is factored once."""
+    calls = []
+    _ideal_factorization = eisenstein._ideal_factorization
+
+    def counted(omega):
+        calls.append(omega)
+        return _ideal_factorization(omega)
+
+    monkeypatch.setattr(eisenstein, "_ideal_factorization", counted)
+    for s_key in ((0.0, 7.0), (0.5, 12.0)):
+        for cap in (16, 25, 100, 441, 100):
+            eisenstein._h3_term_table(QI, s_key, cap)
+    assert len(calls) == len(set(calls)) == len(enumerate_by_norm(QI, 441))
+    for D in (-1, -3, -43, -3):
+        eisenstein._h3_term_table(ImagQuadField(D), (0.0, 7.0), 49)
+    tables = eisenstein._H3_FIELD_TABLES
+    assert sorted(f.D for f in tables) == [-43, -3, -1]
+    assert [tables[ImagQuadField(D)][0] for D in (-1, -3, -43)] == [441, 49, 49]
 
 
 def test_values_of_no_nodes_are_empty():

@@ -61,6 +61,25 @@ def test_enumerate_sorted_and_unique():
     assert len({(e.u, e.v) for e in elems}) == len(elems)
 
 
+@pytest.mark.parametrize("D", ALL_D)
+def test_enumerate_matches_brute_force(D):
+    """The array enumeration against every element of a box that holds the
+    ellipse, sorted by (norm, angle); a lower bound keeps a suffix of it."""
+    fld = ImagQuadField(D)
+    for Nmax in (1, 2, 40, 441):
+        box = range(-2 * math.isqrt(Nmax) - 2, 2 * math.isqrt(Nmax) + 3)
+        brute = sorted((w for u in box for v in box
+                        if 0 < (w := AlgebraicInt(fld, u, v)).norm() <= Nmax),
+                       key=lambda w: (w.norm(), w.angle()))
+        got = enumerate_by_norm(fld, Nmax)
+        assert got == brute
+        assert all(type(w.u) is int and type(w.v) is int for w in got)
+        assert enumerate_by_norm(fld, Nmax, Nmax // 2) == [
+            w for w in brute if w.norm() > Nmax // 2]
+    with pytest.raises(ValueError):
+        enumerate_by_norm(fld, 10**8)
+
+
 def test_enumerate_domain_errors():
     with pytest.raises(ValueError):
         enumerate_by_norm(ImagQuadField(-1), 0)
