@@ -7,14 +7,14 @@ equidistribution main term (qe_scan), windowed variance integrals
 validation (selberg_check), and plain series evaluation (eval).
 
 Config grammar is INI-style key = value under fixed section headers; every
-key is validated and unknown keys are hard errors.  Output is a CSV with
-one header line, columns in ResultRow order, floats at 17 significant
-digits, plus an optional JSON-lines mirror.  Given the same config and
-seed the bytes are identical: rows are computed one after another in grid
-order, per-row Monte Carlo seeds are derived from the row index, and
-wall_time_ms is reported as 0 unless --timings is passed (real timings are
-inherently nondeterministic).  --threads is accepted for compatibility and
-ignored.
+key present is validated, read by the kind or not, and unknown keys are hard
+errors.  Output is a CSV with one header line, columns in ResultRow order,
+floats at 17 significant digits, plus an optional JSON-lines mirror.  Given
+the same config and seed the bytes are identical: rows are computed one
+after another in grid order, per-row Monte Carlo seeds are derived from the
+row index, and wall_time_ms is reported as 0 unless --timings is passed
+(real timings are inherently nondeterministic).  --threads is accepted for
+compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .eisenstein import EisensteinH2, EisensteinH3, lower_bound_avg
@@ -34,29 +34,51 @@ from .geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3
 from .lattice import ImagQuadField
 from .mass import H2_MAIN_TERM, MAX_BALL_NODES, MAX_GRID_POINTS, ball_mass, variance_window
 from .selberg import BallKernel, amplitude_in_range, h_char, h_closed_h3
-from .zeta import zeta_moment
+from .zeta import MAX_MOMENT_T, zeta_moment
 
 __all__ = ["ExperimentConfig", "ResultRow", "run_experiment", "main"]
-
-KINDS = ("omega_scan", "qe_scan", "variance", "moments", "selberg_check", "eval")
 
 COLUMNS = ("t", "R", "raw_mass", "normalized_mass", "main_term", "deviation",
            "lower_bound", "h_value", "wall_time_ms", "error")
 
-_ALLOWED_KEYS = {
-    "experiment": {"kind", "surface", "seed", "order", "method", "mc_count",
-                   "moment_k", "kernel_dim", "variance_step"},
-    "grid": {"t_start", "t_stop", "t_step"},
-    "radius": {"rule", "r", "delta", "a"},
-    "center": {"x", "y", "r", "a", "b", "c"},
-    "evaluator": {"truncation", "norm_cap", "abs_tol", "height_floor"},
+# every key a section may hold, with the type its value converts to; the
+# [evaluator] keys go into evaluator_overrides in this order
+_KEYS = {
+    "experiment": {"kind": str, "surface": str, "seed": int, "order": int, "method": str,
+                   "mc_count": int, "moment_k": int, "kernel_dim": int,
+                   "variance_step": float},
+    "grid": {"t_start": float, "t_stop": float, "t_step": float},
+    "radius": {"rule": str, "r": float, "delta": float, "a": float},
+    "center": {"x": float, "y": float, "r": float, "a": int, "b": int, "c": int},
+    "evaluator": {"truncation": int, "norm_cap": int, "abs_tol": float,
+                  "height_floor": float},
 }
 
+# the [radius] key that holds each rule's value
+_RULE_KEY = {"fixed": "r", "power": "delta", "planck": "a"}
 
-# largest t a moments grid may reach: a row integrates over [0, t] with
-# 40 t nodes of about 2 t + 1 Euler-Maclaurin terms each, so its cost grows
-# like t^2
-MAX_MOMENT_T = 1000.0
+
+@dataclass(frozen=True)
+class _Kind:
+    radius: bool      # needs [radius]; every row takes h_char at R(t)
+    center: bool      # needs [center]
+    h2_only: str      # the error off surface h2, "" when any surface will do
+    t_min: float      # smallest grid point its library call accepts
+    evaluator: bool   # rows evaluate an Eisenstein series
+
+
+_KINDS = {
+    # lower_bound_avg and ball_mass need t >= 2, variance_window T >= 5;
+    # moments need t > 1, checked with MAX_MOMENT_T
+    "omega_scan": _Kind(True, True, "omega_scan runs on surface h2 (arithmetic-point bound)",
+                        2.0, False),
+    "qe_scan": _Kind(True, True, "", 2.0, True),
+    "variance": _Kind(True, True, "", 5.0, True),
+    "moments": _Kind(False, False, "moments runs on surface h2", -math.inf, False),
+    "selberg_check": _Kind(True, False, "", -math.inf, False),
+    "eval": _Kind(False, True, "", -math.inf, True),
+}
+KINDS = tuple(_KINDS)
 
 
 class ConfigError(Exception):
@@ -128,18 +150,32 @@ def _parse_surface(text: str) -> tuple[str, int | None]:
     raise ConfigError(f"surface must be 'h2' or 'bianchi(D)', got {text!r}")
 
 
-def _get(section, key, conv, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in [{section.name}]")
-        return default
-    try:
-        value = conv(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for '{key}' in [{section.name}]: {exc}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return value
+def _read(parser: configparser.ConfigParser) -> dict[str, dict]:
+    """Every section's values, converted by _KEYS; names are checked first."""
+    for sec in parser.sections():
+        if sec not in _KEYS:
+            raise ConfigError(f"unknown section [{sec}]")
+        for key in parser[sec]:
+            if key not in _KEYS[sec]:
+                raise ConfigError(f"unknown key '{key}' in [{sec}]")
+    values: dict[str, dict] = {}
+    for sec in parser.sections():
+        values[sec] = {}
+        for key, text in parser[sec].items():
+            try:
+                value = _KEYS[sec][key](text)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for '{key}' in [{sec}]: {exc}") from exc
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+            values[sec][key] = value
+    return values
+
+
+def _need(values: dict[str, dict], sec: str, key: str):
+    if key not in values[sec]:
+        raise ConfigError(f"missing required key '{key}' in [{sec}]")
+    return values[sec][key]
 
 
 def load_config(path: str, kind_override: str | None = None,
@@ -161,154 +197,104 @@ def load_config(path: str, kind_override: str | None = None,
         # duplicate keys, a missing section header, ...; keep it to one line
         raise ConfigError("malformed config: " + " ".join(str(exc).split())) from exc
 
-    for sec in parser.sections():
-        if sec not in _ALLOWED_KEYS:
-            raise ConfigError(f"unknown section [{sec}]")
-        for key in parser[sec]:
-            if key not in _ALLOWED_KEYS[sec]:
-                raise ConfigError(f"unknown key '{key}' in [{sec}]")
-    if "experiment" not in parser or "grid" not in parser:
+    values = _read(parser)
+    if "experiment" not in values or "grid" not in values:
         raise ConfigError("config needs [experiment] and [grid] sections")
 
-    exp = parser["experiment"]
-    kind = _get(exp, "kind", str, default=kind_override)
+    exp = values["experiment"]
+    kind = exp.get("kind", kind_override)
     if kind is None:
         raise ConfigError("missing required key 'kind' in [experiment]")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
     if kind_override is not None and kind != kind_override:
-        raise ConfigError(
-            f"config kind {kind!r} does not match subcommand {kind_override!r}")
-    surface, field_D = _parse_surface(_get(exp, "surface", str, default="h2"))
+        raise ConfigError(f"config kind {kind!r} does not match subcommand {kind_override!r}")
+    spec = _KINDS[kind]
+    surface, field_D = _parse_surface(exp.get("surface", "h2"))
+    ev = values.get("evaluator", {})
     foreign = "norm_cap" if surface == "h2" else "truncation"
-    if "evaluator" in parser and foreign in parser["evaluator"]:
+    if foreign in ev:
         raise ConfigError(f"'{foreign}' in [evaluator] does not apply to surface {surface}")
 
-    grid = parser["grid"]
-    t_grid = (
-        _get(grid, "t_start", float, required=True),
-        _get(grid, "t_stop", float, required=True),
-        _get(grid, "t_step", float, required=True),
-    )
+    t_grid = tuple(_need(values, "grid", key) for key in _KEYS["grid"])
     if t_grid[2] <= 0.0:
         raise ConfigError("t_step must be positive")
     if (t_grid[1] - t_grid[0]) / t_grid[2] >= MAX_GRID_POINTS:
         raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
+    ts = _grid_values(t_grid)
 
     rule, rvalue = "fixed", 0.0
-    if "radius" in parser:
-        rad = parser["radius"]
-        rule = _get(rad, "rule", str, required=True)
-        if rule == "fixed":
-            rvalue = _get(rad, "r", float, required=True)
-            if rvalue <= 0.0:
-                raise ConfigError("fixed radius r must be positive")
-        elif rule == "power":
-            rvalue = _get(rad, "delta", float, required=True)
-            if not 0.0 < rvalue < 1.0:
-                raise ConfigError("power-rule delta must lie in (0, 1)")
-        elif rule == "planck":
-            rvalue = _get(rad, "a", float, required=True)
-        else:
-            raise ConfigError(f"radius rule must be fixed|power|planck, got {rule!r}")
-    elif kind not in ("moments", "eval"):
+    if "radius" in values:
+        rule = _need(values, "radius", "rule")
+        if rule not in _RULE_KEY:
+            raise ConfigError(f"radius rule must be {'|'.join(_RULE_KEY)}, got {rule!r}")
+        rvalue = _need(values, "radius", _RULE_KEY[rule])
+        if rule == "fixed" and rvalue <= 0.0:
+            raise ConfigError("fixed radius r must be positive")
+        if rule == "power" and not 0.0 < rvalue < 1.0:
+            raise ConfigError("power-rule delta must lie in (0, 1)")
+    elif spec.radius:
         raise ConfigError(f"kind {kind!r} needs a [radius] section")
 
     center: object = None
-    if "center" in parser:
-        cen = parser["center"]
+    if "center" in values:
         try:
             if kind == "omega_scan":
-                center = HeegnerPoint(_get(cen, "a", int, required=True),
-                                      _get(cen, "b", int, required=True),
-                                      _get(cen, "c", int, required=True))
+                center = HeegnerPoint(*(_need(values, "center", key) for key in "abc"))
             elif surface == "h2":
-                center = PointH2(_get(cen, "x", float, required=True),
-                                 _get(cen, "y", float, required=True))
+                center = PointH2(*(_need(values, "center", key) for key in "xy"))
             else:
-                center = PointH3(complex(_get(cen, "x", float, required=True),
-                                         _get(cen, "y", float, required=True)),
-                                 _get(cen, "r", float, required=True))
+                x, y, r = (_need(values, "center", key) for key in "xyr")
+                center = PointH3(complex(x, y), r)
         except ValueError as exc:
             raise ConfigError(f"bad [center]: {exc}") from exc
-    elif kind in ("omega_scan", "qe_scan", "variance", "eval"):
+    elif spec.center:
         raise ConfigError(f"kind {kind!r} needs a [center] section")
 
-    overrides = ()
-    if "evaluator" in parser:
-        ev = parser["evaluator"]
-        pairs = []
-        for key, conv in (("truncation", int), ("norm_cap", int),
-                          ("abs_tol", float), ("height_floor", float)):
-            if key in ev:
-                pairs.append((key, _get(ev, key, conv)))
-        overrides = tuple(pairs)
+    overrides = tuple((key, ev[key]) for key in _KEYS["evaluator"] if key in ev)
 
-    if kind == "omega_scan" and surface != "h2":
-        raise ConfigError("omega_scan runs on surface h2 (arithmetic-point bound)")
-    if kind == "moments" and surface != "h2":
-        raise ConfigError("moments runs on surface h2")
-    if kind == "moments":
-        ts = _grid_values(t_grid)
-        if ts and ts[0] <= 1.0:  # the k = 2 main term t log(t)^4 / (2 pi^2) is 0 at t = 1
+    if spec.h2_only and surface != "h2":
+        raise ConfigError(spec.h2_only)
+    if kind == "moments" and ts:
+        if ts[0] <= 1.0:  # the k = 2 main term t log(t)^4 / (2 pi^2) is 0 at t = 1
             raise ConfigError(f"moments need t > 1, got t = {ts[0]:g}")
-        top = max(ts, default=0.0)
-        if top > MAX_MOMENT_T:
-            raise ConfigError(f"moments grid reaches t = {top:g}, above {MAX_MOMENT_T:g}")
+        if ts[-1] > MAX_MOMENT_T:
+            raise ConfigError(f"moments grid reaches t = {ts[-1]:g}, above {MAX_MOMENT_T:g}")
 
-    seed = _get(exp, "seed", int, default=0)
+    # the [experiment] scalars, with ExperimentConfig's defaults
+    opts = {f.name: exp.get(f.name, f.default) for f in fields(ExperimentConfig)
+            if f.name in _KEYS["experiment"] and f.name not in ("kind", "surface")}
     if seed_override is not None:
-        seed = seed_override
-    method = _get(exp, "method", str, default="quadrature")
-    if method not in ("quadrature", "monte_carlo"):
+        opts["seed"] = seed_override
+    if opts["method"] not in ("quadrature", "monte_carlo"):
         raise ConfigError("method must be quadrature or monte_carlo")
-    order = _get(exp, "order", int, default=24)
-    if order < 2:
+    if opts["order"] < 2:
         raise ConfigError("order must be >= 2")
-    mc_count = _get(exp, "mc_count", int, default=4096)
-    if method == "monte_carlo" and mc_count < 1000:
+    if opts["method"] == "monte_carlo" and opts["mc_count"] < 1000:
         raise ConfigError("monte_carlo needs mc_count >= 1000")
     dim = 2 if surface == "h2" else 3
-    if kind == "variance" or (kind == "qe_scan" and method == "quadrature"):
-        if order ** dim > MAX_BALL_NODES:
+    if kind == "variance" or (kind == "qe_scan" and opts["method"] == "quadrature"):
+        if opts["order"] ** dim > MAX_BALL_NODES:
             raise ConfigError(f"order ** {dim} exceeds {MAX_BALL_NODES} ball nodes")
-    elif kind == "qe_scan" and mc_count > MAX_BALL_NODES:
+    elif kind == "qe_scan" and opts["mc_count"] > MAX_BALL_NODES:
         raise ConfigError(f"mc_count exceeds {MAX_BALL_NODES} ball nodes")
-    moment_k = _get(exp, "moment_k", int, default=2)
-    if moment_k not in (2, 6):
+    if opts["moment_k"] not in (2, 6):
         raise ConfigError("moment_k must be 2 or 6")
-    kernel_dim = _get(exp, "kernel_dim", int, default=3)
-    if kernel_dim < 2:
+    if opts["kernel_dim"] < 2:
         raise ConfigError("kernel_dim must be >= 2")
-    variance_step = _get(exp, "variance_step", float, default=0.25)
-    if not 0.0 < variance_step <= 0.5:
+    if not 0.0 < opts["variance_step"] <= 0.5:
         raise ConfigError("variance_step must lie in (0, 0.5]")
-    if kind == "variance" and t_grid[1] / variance_step >= MAX_GRID_POINTS:
+    if kind == "variance" and t_grid[1] / opts["variance_step"] >= MAX_GRID_POINTS:
         raise ConfigError(f"variance window [t_stop, 2 t_stop] has more than "
                           f"{MAX_GRID_POINTS} points")
 
-    config = ExperimentConfig(
-        kind=kind,
-        surface=surface,
-        field_D=field_D,
-        t_grid=t_grid,
-        radius_rule=rule,
-        radius_value=rvalue,
-        center=center,
-        seed=seed,
-        order=order,
-        method=method,
-        mc_count=mc_count,
-        moment_k=moment_k,
-        kernel_dim=kernel_dim,
-        variance_step=variance_step,
-        evaluator_overrides=overrides,
-    )
-    if kind not in ("moments", "eval"):
-        # every row but those two takes h_char; the planck radius is not
-        # monotone in t, so each grid point is checked
-        n = kernel_dim if kind == "selberg_check" else dim
-        for t in _grid_values(t_grid):
+    config = ExperimentConfig(kind=kind, surface=surface, field_D=field_D, t_grid=t_grid,
+                              radius_rule=rule, radius_value=rvalue, center=center,
+                              evaluator_overrides=overrides, **opts)
+    if spec.radius:
+        # the planck radius is not monotone in t, so each grid point is checked
+        n = opts["kernel_dim"] if kind == "selberg_check" else dim
+        for t in ts:
             try:
                 R = config.radius_for(t)
             except ValueError as exc:  # t <= 1 under a t-dependent rule
@@ -318,6 +304,10 @@ def load_config(path: str, kind_override: str | None = None,
             if not amplitude_in_range(n, R):
                 raise ConfigError(f"ball-kernel amplitude leaves float64 range for "
                                   f"dimension {n} at t = {t:g}, R = {R:g}")
+    # after the radius checks, so that t <= 1 under a t-dependent rule is
+    # reported as such
+    if ts and ts[0] < spec.t_min:
+        raise ConfigError(f"{kind} needs t >= {spec.t_min:g}, got t = {ts[0]!r}")
     return config
 
 
@@ -326,10 +316,6 @@ def _build_evaluator(config: ExperimentConfig):
     if config.surface == "h2":
         return EisensteinH2(**kwargs)
     return EisensteinH3(ImagQuadField(config.field_D), **kwargs)
-
-
-def _dim(config: ExperimentConfig) -> int:
-    return 2 if config.surface == "h2" else 3
 
 
 def _compute_row(config: ExperimentConfig, evaluator, index: int,
@@ -349,7 +335,7 @@ def _compute_row(config: ExperimentConfig, evaluator, index: int,
 def _compute_row_inner(config: ExperimentConfig, evaluator, index: int,
                        t: float) -> ResultRow:
     kind = config.kind
-    dim = _dim(config)
+    dim = 2 if config.surface == "h2" else 3
 
     if kind == "moments":
         raw = zeta_moment(config.moment_k, t)
@@ -403,7 +389,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
     Rows run one after another; `threads` is accepted and ignored.
     """
     evaluator = None
-    if config.kind in ("qe_scan", "variance", "eval"):
+    if _KINDS[config.kind].evaluator:
         evaluator = _build_evaluator(config)
     return [_compute_row(config, evaluator, i, t, timings)
             for i, t in enumerate(config.t_values())]
@@ -457,9 +443,8 @@ def main(argv: list[str] | None = None) -> int:
                     "of Eisenstein series",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for cmd in ("omega-scan", "qe-scan", "variance", "moments",
-                "selberg-check", "eval"):
-        _add_common(subs.add_parser(cmd))
+    for kind in KINDS:
+        _add_common(subs.add_parser(kind.replace("_", "-")))
     args = parser.parse_args(argv)
 
     kind = args.command.replace("-", "_")

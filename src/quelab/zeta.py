@@ -43,6 +43,7 @@ __all__ = [
     "log_xi",
     "scattering_phi_K",
     "scattering_phi_Q",
+    "MAX_MOMENT_T",
     "zeta_moment",
     "dedekind_fourth_moment",
     "default_backend",
@@ -505,6 +506,11 @@ def scattering_phi_K(field_: ImagQuadField, s: complex) -> complex:
 _PANEL_LIMIT = 4096
 _panel_table = np.empty((0, 10))
 
+# largest T a moment integral accepts: [0, T] holds 40 T nodes of about
+# 2 T + 1 Euler-Maclaurin terms each, so its cost grows like T^2, and its
+# node arrays are allocated whole
+MAX_MOMENT_T = 1000.0
+
 
 def _moment_rule(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes t, weights and |zeta(1/2 + it)| of the moment rule on [0, T].
@@ -520,6 +526,8 @@ def _moment_rule(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("T must be finite")
     if T < 0.0:
         raise ValueError("T must be nonnegative")
+    if T > MAX_MOMENT_T:
+        raise ValueError(f"T must be <= {MAX_MOMENT_T:g}")
     table = _panel_table
     x, w = gauss_legendre(10)
     full = int(T / 0.25)
@@ -541,7 +549,7 @@ def _moment_rule(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def zeta_moment(k: int, T: float) -> float:
-    """Integral over [0, T] of |zeta(1/2 + it)|^{2k}, k in {2, 6}."""
+    """Integral over [0, T] of |zeta(1/2 + it)|^{2k}, k in {2, 6}, T <= MAX_MOMENT_T."""
     if k not in (2, 6):
         raise ValueError("k must be 2 or 6")
     _, w, az = _moment_rule(T)

@@ -1,15 +1,19 @@
 """Config parsing, row semantics, determinism, and exit codes of the driver."""
 from __future__ import annotations
 
+import configparser
 import json
 import math
+import re
 import textwrap
 from pathlib import Path
 
 import pytest
 
+from quelab import cli
 from quelab.cli import (
     COLUMNS,
+    KINDS,
     MAX_MOMENT_T,
     ConfigError,
     ExperimentConfig,
@@ -20,9 +24,9 @@ from quelab.cli import (
     write_csv,
     write_jsonl,
 )
-from quelab.eisenstein import lower_bound_avg
-from quelab.geometry import HeegnerPoint, PointH2, PointH3
-from quelab.mass import H2_MAIN_TERM
+from quelab.eisenstein import EisensteinH2, lower_bound_avg
+from quelab.geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3
+from quelab.mass import H2_MAIN_TERM, ball_mass, variance_window
 from quelab.selberg import BallKernel, h_char
 from quelab.zeta import zeta_moment
 
@@ -408,6 +412,39 @@ def test_selberg_check_rows_agree_with_closed_form():
         assert row.deviation <= 1e-8
 
 
+# library functions that rows call through quelab.cli's own bindings
+_ROW_BINDINGS = ("zeta_moment", "ball_mass", "lower_bound_avg", "h_char", "h_closed_h3")
+
+
+def test_rows_call_library_through_module_bindings(monkeypatch):
+    # a tracer counts these calls by patching the names in quelab.cli; a row
+    # that reached a function through a reference taken earlier, such as a
+    # table of function objects, would run but go uncounted
+    counts = dict.fromkeys(_ROW_BINDINGS, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _ROW_BINDINGS:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    base = dict(surface="h2", field_D=None, t_grid=(5.0, 5.0, 1.0), radius_rule="fixed",
+                radius_value=0.4, order=6, variance_step=0.5)
+    point = PointH2(0.1, 1.2)
+    configs = [ExperimentConfig(kind="omega_scan", center=HeegnerPoint(1, 0, 1), **base),
+               ExperimentConfig(kind="qe_scan", center=point, **base),
+               ExperimentConfig(kind="variance", center=point, **base),
+               ExperimentConfig(kind="moments", center=None, **base),
+               ExperimentConfig(kind="selberg_check", center=None, **base),
+               ExperimentConfig(kind="eval", center=point, **base)]
+    assert [config.kind for config in configs] == list(KINDS)
+    for config in configs:
+        assert [row.error for row in run_experiment(config)] == [""]
+    assert all(n >= 1 for n in counts.values()), counts
+
+
 def test_thread_count_does_not_change_bytes(tmp_path):
     config = load_config(_write(tmp_path, _QE_MC))
     serial = run_experiment(config, threads=1)
@@ -492,6 +529,11 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert err.startswith("config error: unknown key 'bogus'")
 
 
+# _QE_MC as an omega_scan config: a Heegner form in place of the point
+_OMEGA = _QE_MC.replace("kind = qe_scan", "kind = omega_scan").replace(
+    "x = 0.1\n    y = 1.2", "a = 1\n    b = 0\n    c = 1")
+
+
 def _assert_config_error(tmp_path, capsys, command, text, message):
     rc = main([command, "--config", _write(tmp_path, text), "--out", str(tmp_path / "x.csv")])
     assert rc == 2
@@ -553,11 +595,21 @@ def _assert_config_error(tmp_path, capsys, command, text, message):
                  "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
                  "    t_start = 1.0"),
      "moments need t > 1, got t = 1"),
+    ("qe-scan", ("t_start = 5.0", "t_start = 1.5"), "qe_scan needs t >= 2, got t = 1.5"),
+    # each edit below replaces the whole of _QE_MC
+    ("omega-scan", (_QE_MC, _OMEGA.replace("t_start = 5.0", "t_start = 1.5")),
+     "omega_scan needs t >= 2, got t = 1.5"),
+    ("variance", (_QE_MC, _QE_MC.replace("kind = qe_scan", "kind = variance")
+                  .replace("t_start = 5.0", "t_start = 4.5")),
+     "variance needs t >= 5, got t = 4.5"),
+    ("qe-scan", ("r = 0.4", "r = 0.4\n    a = abc"),
+     "bad value for 'a' in [radius]: could not convert string to float: 'abc'"),
 ], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf",
         "grid_size", "variance_window_size", "quadrature_nodes", "variance_nodes",
         "monte_carlo_nodes", "norm_cap_on_h2", "truncation_on_bianchi", "kernel_range",
         "radius_overflow", "radius_rule_t_at_most_one", "moments_t_above_max",
-        "moments_t_negative", "moments_t_one"])
+        "moments_t_negative", "moments_t_one", "qe_scan_t_below_floor",
+        "omega_scan_t_below_floor", "variance_t_below_floor", "unread_key_value"])
 def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, command,
                                                 edit, message):
     # a non-finite or oversized grid would hang or exhaust memory in
@@ -567,6 +619,33 @@ def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, co
         raise RuntimeError("grid expanded after a bad config was accepted")
     monkeypatch.setattr(ExperimentConfig, "t_values", no_grid)
     _assert_config_error(tmp_path, capsys, command, _QE_MC.replace(*edit), message)
+
+
+# the library call whose t (or T) floor each kind's grid must respect
+_FLOOR_CALLS = {
+    "omega_scan": lambda t: lower_bound_avg(HeegnerPoint(1, 0, 1), 0.4, t),
+    "qe_scan": lambda t: ball_mass(2, GeodesicBall(2, PointH2(0.1, 1.2), 0.4), t,
+                                   EisensteinH2(), order=4).raw_mass,
+    "variance": lambda t: variance_window(2, PointH2(0.1, 1.2), 0.4, t, 0.5,
+                                          EisensteinH2(), order=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FLOOR_CALLS))
+def test_grid_floor_matches_the_library_call(tmp_path, kind):
+    floor = cli._KINDS[kind].t_min
+    below = math.nextafter(floor, -math.inf)
+    with pytest.raises(ValueError, match=f"must be >= {floor:g}"):
+        _FLOOR_CALLS[kind](below)
+    assert math.isfinite(_FLOOR_CALLS[kind](floor))
+    text = _OMEGA if kind == "omega_scan" else _QE_MC.replace("kind = qe_scan", f"kind = {kind}")
+
+    def starting_at(t):
+        return _write(tmp_path, text.replace("t_start = 5.0", f"t_start = {t!r}"))
+
+    assert load_config(starting_at(floor)).t_values()[0] == floor
+    with pytest.raises(ConfigError, match=f"{kind} needs t >= {floor:g}, got t = {below!r}"):
+        load_config(starting_at(below))
 
 
 _PLANCK_CHECK = """\
@@ -614,6 +693,34 @@ _FLOAT_KEYS = {
     "abs_tol": [("y = 1.2\n", "y = 1.2\n\n    [evaluator]\n    abs_tol = {}\n")],
     "height_floor": [("y = 1.2\n", "y = 1.2\n\n    [evaluator]\n    height_floor = {}\n")],
 }
+
+
+def test_float_keys_cover_every_float_key_of_the_table():
+    # each entry's edits, with a marker value, put the marker under one
+    # (section, key)
+    covered = set()
+    for edits in _FLOAT_KEYS.values():
+        text = _QE_MC
+        for old, new in edits:
+            text = text.replace(old, new.format("1.375"))
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(textwrap.dedent(text))
+        covered |= {(sec, key) for sec in parser.sections()
+                    for key, value in parser[sec].items() if value == "1.375"}
+    assert covered == {(sec, key) for sec, keys in cli._KEYS.items()
+                       for key, conv in keys.items() if conv is float}
+
+
+def test_readme_grammar_lists_every_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("### Config grammar", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    listed: dict[str, set] = {}
+    for line in block.splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = listed.setdefault(m.group(1), set())
+        elif m := re.match(r"(\w+) =", line):
+            section.add(m.group(1))
+    assert listed == {sec: set(keys) for sec, keys in cli._KEYS.items()}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

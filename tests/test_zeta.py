@@ -406,6 +406,16 @@ def test_moments_reject_non_finite_T(T):
         dedekind_fourth_moment(ImagQuadField(-1), T)
 
 
+def test_moments_reject_T_above_the_cap():
+    # [0, T] holds 40 T nodes, allocated whole: the library bounds T itself
+    # rather than trusting its callers
+    T = zeta.MAX_MOMENT_T + 1.0
+    with pytest.raises(ValueError, match="T must be <= 1000"):
+        zeta_moment(2, T)
+    with pytest.raises(ValueError, match="T must be <= 1000"):
+        dedekind_fourth_moment(ImagQuadField(-1), T)
+
+
 def test_moments_do_not_depend_on_earlier_rows(monkeypatch):
     """zeta_moment(2, 55.7) is bitwise the same on a cold panel table and
     after zeta_moment(2, 135.7) has filled it.  A cold row takes one
