@@ -22,17 +22,13 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule mapped to [a, b]."""
-    x, w = gauss_legendre(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+    return panel_nodes((a, b), n)
 
 
-def panel_nodes(a: float, b: float, panels: int, per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre: `panels` equal panels of `per_panel` nodes each."""
-    edges = np.linspace(a, b, panels + 1)
+def panel_nodes(edges: np.typing.ArrayLike, per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre: `per_panel` nodes on each panel [edges[j], edges[j+1]],
+    laid out as edges[j] + half (x + 1) with half the panel's half-width."""
+    edges = np.asarray(edges, dtype=float)
     x, w = gauss_legendre(per_panel)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * x[None, :]).ravel()
-    weights = np.broadcast_to(half * w, (panels, per_panel)).ravel()
-    return nodes, weights
+    half = 0.5 * (edges[1:, None] - edges[:-1, None])
+    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()

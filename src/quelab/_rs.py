@@ -27,7 +27,7 @@ __all__ = ["zeta_rs", "STRIP"]
 STRIP = (-0.5, 1.5)  # sigma range served; callers fall back elsewhere
 
 _DIR = cmath.exp(1j * math.pi / 4)
-_U, _W = panel_nodes(-5.5, 5.5, panels=22, per_panel=16)
+_U, _W = panel_nodes(np.linspace(-5.5, 5.5, 23), 16)
 
 
 def _chi(s: complex) -> complex:

@@ -152,6 +152,8 @@ def _parse_surface(text: str) -> tuple[str, int | None]:
 
 def _read(parser: configparser.ConfigParser) -> dict[str, dict]:
     """Every section's values, converted by _KEYS; names are checked first."""
+    if parser.defaults():  # configparser would merge its keys into every section
+        raise ConfigError("unknown section [DEFAULT]")
     for sec in parser.sections():
         if sec not in _KEYS:
             raise ConfigError(f"unknown section [{sec}]")
@@ -257,7 +259,7 @@ def load_config(path: str, kind_override: str | None = None,
         raise ConfigError(spec.h2_only)
     if kind == "moments" and ts:
         if ts[0] <= 1.0:  # the k = 2 main term t log(t)^4 / (2 pi^2) is 0 at t = 1
-            raise ConfigError(f"moments need t > 1, got t = {ts[0]:g}")
+            raise ConfigError(f"moments need t > 1, got t = {ts[0]!r}")
         if ts[-1] > MAX_MOMENT_T:
             raise ConfigError(f"moments grid reaches t = {ts[-1]:g}, above {MAX_MOMENT_T:g}")
 
@@ -298,7 +300,7 @@ def load_config(path: str, kind_override: str | None = None,
             try:
                 R = config.radius_for(t)
             except ValueError as exc:  # t <= 1 under a t-dependent rule
-                raise ConfigError(f"{exc}, got t = {t:g}") from exc
+                raise ConfigError(f"{exc}, got t = {t!r}") from exc
             except OverflowError:
                 R = math.inf
             if not amplitude_in_range(n, R):

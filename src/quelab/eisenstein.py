@@ -10,8 +10,7 @@ with Z the two-variable Epstein sum of the form.  On H^3 the Fourier
 expansion over a class-number-one ring of integers is cross-checked against
 the literal Poincare series over coprime pairs and against a quaternary
 Epstein lattice sum.  The module also provides the archimedean gamma-factor
-quotients with their exponential-over-polynomial surrogates, and the
-regularized Eisenstein triple products (overall constants pinned to 1).
+quotients with their exponential-over-polynomial surrogates.
 
 Critical-line evaluation balances the e^{pi t / 2} decay of the K-Bessel
 factor against the matching growth of the reciprocal completed-zeta and
@@ -28,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import gl_nodes, panel_nodes
+from ._quad import panel_nodes
 from .geometry import HeegnerPoint, PointH2, PointH3, node_arrays
 from .lattice import (
     AlgebraicInt,
@@ -37,7 +36,7 @@ from .lattice import (
     divisor_sigma,
     enumerate_by_norm,
 )
-from .lattice import _CLASS_NUMBER_ONE, _factor_int, _ideal_factorization, _prime_above
+from .lattice import _CLASS_NUMBER_ONE, _ideal_factorization
 from .selberg import BallKernel, h_char
 from .specfun import bessel_K_many, log_gamma
 from .zeta import (
@@ -62,8 +61,9 @@ __all__ = [
     "eis_h3_coset",
     "eis_h3_lattice",
     "gamma_factors",
-    "reg_triple",
     "lower_bound_avg",
+    # re-exported: perfbench's tracer patches quelab.eisenstein.dirichlet_L
+    "dirichlet_L",
 ]
 
 _IMAG_ORDER_SWITCH = 8.0  # |Im nu| above which the balanced K route is used
@@ -131,7 +131,7 @@ def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
     # x + tau near v = 0, which a batch with x_max well below tau would
     # otherwise under-resolve (2e-10 absolute at tau = 60, x = pi)
     panels = int(max(total_phase, 0.5 * (tau + x_max) * v0) / 8.0) + 2
-    v, wv = panel_nodes(0.0, v0, panels, 24)
+    v, wv = panel_nodes(np.linspace(0.0, v0, panels + 1), 24)
     lw = np.arcsinh(v)
     g = np.cosh(nu * lw) / np.sqrt(1.0 + v * v)
     vals = _real_dot(np.cos(np.outer(xs, v)), wv * g)
@@ -148,9 +148,7 @@ def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
         edges.append(u_here + min(len_decay, len_phase, 2.0))
         if len(edges) > 500:
             raise ValueError("tail panelling did not converge")
-    u_parts = [gl_nodes(a, b, 20) for a, b in zip(edges, edges[1:])]
-    u = np.concatenate([p[0] for p in u_parts])
-    wu = np.concatenate([p[1] for p in u_parts])
+    u, wu = panel_nodes(edges, 20)
     decay = np.exp(-np.outer(xs, u))
     for eps in (1.0, -1.0):
         ve = v0 + 1j * eps * u
@@ -446,9 +444,9 @@ def eis_h2_heegner(point: HeegnerPoint, s: complex) -> complex:
     """Same series at the root of a form, through the form's zeta function.
 
     For the nine one-class fundamental discriminants the two-variable form
-    zeta factors as w_d zeta(s) L(s, chi_d), which keeps the whole critical
-    strip in reach; other discriminants fall back to the incomplete-gamma
-    Epstein evaluator and inherit its |Im s| range.
+    zeta factors as w_d zeta_K(s) = w_d zeta(s) L(s, chi_d), which keeps the
+    whole critical strip in reach; other discriminants fall back to the
+    incomplete-gamma Epstein evaluator and inherit its |Im s| range.
     """
     s = complex(s)
     _h2_guard(s)
@@ -456,7 +454,7 @@ def eis_h2_heegner(point: HeegnerPoint, s: complex) -> complex:
     # d = -12, -16, -27, -28 have class number one but are not fundamental
     fields = [f for f in map(ImagQuadField, _CLASS_NUMBER_ONE) if f.discriminant == point.d]
     if fields:
-        form_zeta = fields[0].unit_count * riemann_zeta(s) * dirichlet_L(s, point.d)
+        form_zeta = fields[0].unit_count * dedekind_zeta(fields[0], s)
     else:
         form_zeta = epstein_Z(BinaryQuadraticForm(point.c, -point.b, point.a), s)
     ay = point.a * point.z.y  # = sqrt(|d|) / 2
@@ -497,6 +495,7 @@ def _in_sector(w: AlgebraicInt) -> bool:
 # The s-independent arithmetic of each field, grown to the largest cap asked
 # for: (cap, omega values, norms, factorization-pattern index of each omega,
 # first omega of each pattern, pattern -> index), sorted by (norm, angle).
+# A pattern is the (norm, exponent) pairs of the prime ideals dividing omega.
 # Patterns are numbered in order of first appearance, so a prefix of the
 # omegas holds patterns 0 .. the largest index among them.
 _H3_FIELD_TABLES: dict[ImagQuadField, tuple] = {}
@@ -512,7 +511,7 @@ def _h3_field_table(field_: ImagQuadField, cap: int) -> tuple:
     shell = enumerate_by_norm(field_, cap, done)
     reps, index, fresh = list(reps), dict(index), []
     for e in shell:
-        k = index.setdefault(tuple(_ideal_factorization(e)), len(reps))
+        k = index.setdefault(tuple((q, a) for _, q, a in _ideal_factorization(e)), len(reps))
         if k == len(reps):
             reps.append(e)
         fresh.append(k)
@@ -646,24 +645,6 @@ def _not_divisible(du: np.ndarray, dv: np.ndarray, p: AlgebraicInt) -> np.ndarra
     return (num_u % n != 0) | (num_v % n != 0)
 
 
-def _prime_divisors(c: AlgebraicInt) -> list[AlgebraicInt]:
-    """Distinct prime elements dividing c, one per prime ideal."""
-    field_ = c.field
-    out: list[AlgebraicInt] = []
-    for p, _ in _factor_int(c.norm()):
-        chi = field_.chi(p)
-        if chi == -1:
-            out.append(field_.element(p, 0))
-        elif chi == 0:
-            out.append(_prime_above(field_, p))
-        else:
-            pi = _prime_above(field_, p)
-            for cand in (pi, pi.conj()):
-                if c.divide_exact(cand) is not None:
-                    out.append(cand)
-    return out
-
-
 def eis_h3_coset(P: PointH3, S: complex, field_: ImagQuadField, cap: int = 40) -> complex:
     """Literal truncated Poincare sum over coprime pairs modulo units.
 
@@ -688,7 +669,7 @@ def eis_h3_coset(P: PointH3, S: complex, field_: ImagQuadField, cap: int = 40) -
         if not _in_sector(c):
             continue
         mask = np.ones(du.shape, dtype=bool)
-        for p in _prime_divisors(c):
+        for p, _, _ in _ideal_factorization(c):
             pmask = masks.get(p)
             if pmask is None:
                 pmask = _not_divisible(du, dv, p)
@@ -728,7 +709,7 @@ def eis_h3_lattice(P: PointH3, S: complex, field_: ImagQuadField) -> complex:
 
 
 # ----------------------------------------------------------------------------
-# Gamma-factor quotients and regularized triple products.
+# Gamma-factor quotients.
 
 
 @dataclass(frozen=True)
@@ -769,39 +750,6 @@ def gamma_factors(dim: int, t_j: float, t: float) -> GammaFactorReport:
         gamma_exact=math.exp(log_exact),
         gamma_asym=math.exp(0.5 * math.pi * Q) / P,
     )
-
-
-def reg_triple(dim: int, t: float, tprime: float,
-               field_: ImagQuadField | None = None) -> complex:
-    """Regularized triple product of critical-line series, constant set to 1.
-
-    Only the growth of the modulus is meaningful; the omitted normalizing
-    constant is independent of t and t'.
-    """
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
-    t, tp = float(t), float(tprime)
-    if abs(t) < 1e-9 or abs(tp) < 1e-9:
-        raise ValueError("t = 0 or t' = 0 lands on a zeta pole of the ratio")
-    if dim == 2:
-        log_num = (2.0 * log_xi(complex(0.5, -tp))
-                   + log_xi(complex(0.5, 2.0 * t - tp))
-                   + log_xi(complex(0.5, -(2.0 * t + tp))))
-        log_den = (2.0 * log_xi(complex(1.0, 2.0 * t)).real
-                   + log_xi(complex(1.0, -2.0 * tp)))
-        return cmath.exp(log_num - log_den)
-    fld = field_ or ImagQuadField(-1)
-    u = complex(0.5, 0.5 * tp)
-    log_gamma_part = (2.0 * log_gamma(u)
-                      + log_gamma(u - 1j * t) + log_gamma(u + 1j * t)
-                      - log_gamma(complex(1.0, tp))
-                      - 2.0 * log_gamma(complex(1.0, t)).real)
-    zeta_part = (dedekind_zeta(fld, u) ** 2
-                 * dedekind_zeta(fld, u - 1j * t)
-                 * dedekind_zeta(fld, u + 1j * t)
-                 / (dedekind_zeta(fld, complex(1.0, tp))
-                    * abs(dedekind_zeta(fld, complex(1.0, t))) ** 2))
-    return cmath.exp(log_gamma_part) * zeta_part
 
 
 # ----------------------------------------------------------------------------

@@ -227,33 +227,28 @@ def _prime_above(field: ImagQuadField, p: int) -> AlgebraicInt:
     raise ArithmeticError(f"no element of norm {p}; prime is inert")
 
 
-def _ideal_factorization(omega: AlgebraicInt) -> list[tuple[int, int]]:
-    """(prime ideal norm, exponent) pairs for the principal ideal (omega)."""
+def _ideal_factorization(omega: AlgebraicInt) -> list[tuple[AlgebraicInt, int, int]]:
+    """(prime element, prime ideal norm, exponent) for each prime ideal
+    dividing the principal ideal (omega)."""
     field = omega.field
-    pairs: list[tuple[int, int]] = []
+    triples: list[tuple[AlgebraicInt, int, int]] = []
     for p, a in _factor_int(omega.norm()):
         chi = field.chi(p)
         if chi == -1:
             if a % 2:
                 raise ArithmeticError("odd valuation at an inert prime")
-            pairs.append((p * p, a // 2))
+            triples.append((field.element(p, 0), p * p, a // 2))
         elif chi == 0:
-            pairs.append((p, a))
+            triples.append((_prime_above(field, p), p, a))
         else:
-            pi = _prime_above(field, p)
-            e = 0
-            rest = omega
-            while e < a:
-                q = rest.divide_exact(pi)
-                if q is None:
-                    break
-                rest = q
-                e += 1
+            pi, rest, e = _prime_above(field, p), omega, 0
+            while e < a and (q := rest.divide_exact(pi)) is not None:
+                rest, e = q, e + 1
             if e:
-                pairs.append((p, e))
+                triples.append((pi, p, e))
             if a - e:
-                pairs.append((p, a - e))  # conjugate prime, same residue norm
-    return pairs
+                triples.append((pi.conj(), p, a - e))
+    return triples
 
 
 def divisor_sigma(field: ImagQuadField, s: complex, omega: AlgebraicInt) -> complex:
@@ -263,7 +258,7 @@ def divisor_sigma(field: ImagQuadField, s: complex, omega: AlgebraicInt) -> comp
     if omega.is_zero():
         raise ValueError("divisor sum of zero is undefined")
     total = 1.0 + 0.0j
-    for q, e in _ideal_factorization(omega):
+    for _, q, e in _ideal_factorization(omega):
         qs = complex(q) ** complex(s)
         acc = 1.0 + 0.0j
         term = 1.0 + 0.0j

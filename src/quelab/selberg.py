@@ -79,7 +79,7 @@ def amplitude_in_range(n: int, R: float) -> bool:
 def _amplitude_integral(R: float, m: float, t: complex) -> complex:
     nodes = int(1.4 * (abs(t.real) * R)) + 48
     panels = -(-nodes // _PANEL_CAP)
-    x, w = panel_nodes(0.0, 1.0, panels, -(-nodes // panels))
+    x, w = panel_nodes(np.linspace(0.0, 1.0, panels + 1), -(-nodes // panels))
     u = R * (1.0 - x * x)
     amp = np.power(math.cosh(R) - np.cosh(u), m) * (2.0 * R * x)
     if t.imag == 0.0 and t.real >= 0.0:

@@ -153,7 +153,7 @@ def _k_grid(x_min: float, nu: complex) -> tuple[np.ndarray, np.ndarray]:
     freq = max(1.0, abs(nu.imag))
     panels = max(4, int(math.ceil(u_max * freq / math.pi)))
     panels = min(panels, _K_MAX_NODES // per)
-    return panel_nodes(0.0, u_max, panels, per)
+    return panel_nodes(np.linspace(0.0, u_max, panels + 1), per)
 
 
 def bessel_K_many(nu: complex, xs: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import gauss_legendre, gl_nodes
+from ._quad import panel_nodes
 from . import _rs
 from .lattice import BinaryQuadraticForm, ImagQuadField, kronecker_chi
 from .specfun import log_gamma
@@ -81,21 +81,6 @@ _SHIFTS = np.arange(17.0)
 _M_POWERS = -np.arange(1.0, 19.0, 2.0)
 
 
-def _boundary_near_pole(w: complex, logM: float) -> complex:
-    """(M^{-w} - 1)/w for |w log M| < 1/2, from the power series of exp."""
-    if abs(w) < 1e-8:
-        return logM * (-1.0 + 0.5 * w * logM)
-    z = -w * logM
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(1, 24):
-        term *= z / k
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-300):
-            break
-    return total / w
-
-
 def _em_heads(s: np.ndarray, x: np.ndarray, N: np.ndarray) -> np.ndarray:
     """The head sums sum_{k < N} (k + x)^{-s}, one per point.
 
@@ -127,16 +112,11 @@ def _em_run(s: np.ndarray, x: np.ndarray, N: np.ndarray) -> np.ndarray:
     M = N + x
     logM = np.log(M)
     Mpow_s = np.exp(-s * logM)
-    # (M^{1-s} - 1)/(s - 1), continuous through s = 1; where it cancels,
-    # |(s - 1) log M| < 1/2, the point takes the series
+    # (M^{1-s} - 1)/(s - 1) = expm1(-w log M)/w with w = s - 1, which keeps
+    # its digits near s = 1 and is -log M at s = 1
     w = s - 1.0
-    near = np.abs(w * logM) < 0.5
-    if near.any():
-        boundary = (M * Mpow_s - 1.0) / np.where(near, 1.0, w)
-        for i in near.nonzero()[0]:
-            boundary[i] = _boundary_near_pole(complex(w[i]), float(logM[i]))
-    else:
-        boundary = (M * Mpow_s - 1.0) / w
+    pole = w == 0.0
+    boundary = np.where(pole, -logM, np.expm1(-w * logM) / np.where(pole, 1.0, w))
     terms = (np.multiply.accumulate(s[:, None] + _SHIFTS, axis=1)[:, ::2]
              * (_B_OVER_FACT * M[:, None] ** _M_POWERS))
     total = (_em_heads(s, x, N) + boundary
@@ -529,14 +509,11 @@ def _moment_rule(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if T > MAX_MOMENT_T:
         raise ValueError(f"T must be <= {MAX_MOMENT_T:g}")
     table = _panel_table
-    x, w = gauss_legendre(10)
     full = int(T / 0.25)
-    t = 0.25 * np.arange(full)[:, None] + 0.125 * (x + 1.0)
-    weights = np.broadcast_to(0.125 * w, (full, 10))
+    edges = 0.25 * np.arange(full + 1)
     if 0.25 * full < T - 1e-12:
-        last_t, last_w = gl_nodes(0.25 * full, T, 10)
-        t = np.vstack([t, last_t])
-        weights = np.vstack([weights, last_w])
+        edges = np.append(edges, T)
+    t, weights = (a.reshape(-1, 10) for a in panel_nodes(edges, 10))
     known = table[:full]
     s = 0.5 + 1j * t[len(known):]
     fresh = np.abs(_hurwitz_reg(s, 1.0) + 1.0 / (s - 1.0))

@@ -587,14 +587,21 @@ def _assert_config_error(tmp_path, capsys, command, text, message):
                  "kind = moments\n    surface = h2\n    seed = 3\n    order = 12\n"
                  "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
                  "    t_start = -2.0\n    t_stop = 1.0\n    t_step = 1.0"),
-     "moments need t > 1, got t = -2"),
+     "moments need t > 1, got t = -2.0"),
     ("moments", ("kind = qe_scan\n    surface = h2\n    seed = 3\n    order = 12\n"
                  "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
                  "    t_start = 5.0",
                  "kind = moments\n    surface = h2\n    seed = 3\n    order = 12\n"
                  "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
                  "    t_start = 1.0"),
-     "moments need t > 1, got t = 1"),
+     "moments need t > 1, got t = 1.0"),
+    ("moments", ("kind = qe_scan\n    surface = h2\n    seed = 3\n    order = 12\n"
+                 "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
+                 "    t_start = 5.0",
+                 "kind = moments\n    surface = h2\n    seed = 3\n    order = 12\n"
+                 "    method = monte_carlo\n    mc_count = 2000\n\n    [grid]\n"
+                 "    t_start = 0.9999999999999999"),
+     "moments need t > 1, got t = 0.9999999999999999"),
     ("qe-scan", ("t_start = 5.0", "t_start = 1.5"), "qe_scan needs t >= 2, got t = 1.5"),
     # each edit below replaces the whole of _QE_MC
     ("omega-scan", (_QE_MC, _OMEGA.replace("t_start = 5.0", "t_start = 1.5")),
@@ -604,12 +611,15 @@ def _assert_config_error(tmp_path, capsys, command, text, message):
      "variance needs t >= 5, got t = 4.5"),
     ("qe-scan", ("r = 0.4", "r = 0.4\n    a = abc"),
      "bad value for 'a' in [radius]: could not convert string to float: 'abc'"),
+    ("qe-scan", ("[experiment]", "[DEFAULT]\n    seed = 1\n\n    [experiment]"),
+     "unknown section [DEFAULT]"),
 ], ids=["order", "mc_count", "evaluator_value", "t_step_nan", "t_start_inf", "t_stop_inf",
         "grid_size", "variance_window_size", "quadrature_nodes", "variance_nodes",
         "monte_carlo_nodes", "norm_cap_on_h2", "truncation_on_bianchi", "kernel_range",
         "radius_overflow", "radius_rule_t_at_most_one", "moments_t_above_max",
-        "moments_t_negative", "moments_t_one", "qe_scan_t_below_floor",
-        "omega_scan_t_below_floor", "variance_t_below_floor", "unread_key_value"])
+        "moments_t_negative", "moments_t_one", "moments_t_just_below_one",
+        "qe_scan_t_below_floor", "omega_scan_t_below_floor", "variance_t_below_floor",
+        "unread_key_value", "default_section"])
 def test_main_rejects_bad_values_at_parse_time(tmp_path, capsys, monkeypatch, command,
                                                 edit, message):
     # a non-finite or oversized grid would hang or exhaust memory in

@@ -17,7 +17,6 @@ from quelab.eisenstein import (
     eis_h3_lattice,
     gamma_factors,
     lower_bound_avg,
-    reg_triple,
     _k_scaled_batch,
     _KTable,
     _reduce_h2,
@@ -33,8 +32,6 @@ E_AT_I_2 = 2.7842015453307912
 H3_QI_25 = 4.812375013155018          # E_inf at P = (0.3+0.2i, 1.1), S = 2.5
 H3_D7_25 = 4.253899794713765          # P = (0.25+0.3i, 1.0), S = 2.5, D = -7
 LOWER_BOUND_I = 0.13654285031362218   # w = i form, R = 0.4, t = 5
-REG3_5_3 = complex(-0.1211158426388119, 0.04615732470255178)
-REG2_5_3 = complex(-0.22505315438256485, -0.07285073925695065)
 
 HEEGNER_POINTS = (
     HeegnerPoint(1, 0, 1),    # z = i, d = -4
@@ -155,7 +152,7 @@ def test_h3_coset_builds_each_prime_mask_once(monkeypatch):
     cap = 12
     eis_h3_coset(PointH3(0.3 + 0.2j, 1.1), 2.5, QI, cap=cap)
     primes = {p for c in enumerate_by_norm(QI, cap * cap) if eisenstein._in_sector(c)
-              for p in eisenstein._prime_divisors(c)}
+              for p, _, _ in eisenstein._ideal_factorization(c)}
     assert len(calls) == len(set(calls)) and set(calls) == primes
 
 
@@ -492,33 +489,6 @@ def test_gamma_surrogate_bounded_dim3():
             rep = gamma_factors(3, t_j, t)
             ratio = rep.gamma_exact / rep.gamma_asym
             assert 0.1 <= ratio <= 10.0
-
-
-def test_reg_triple_frozen_values():
-    got3 = reg_triple(3, 5.0, 3.0)
-    assert got3.real == pytest.approx(REG3_5_3.real, rel=1e-10)
-    assert got3.imag == pytest.approx(REG3_5_3.imag, rel=1e-10)
-    got2 = reg_triple(2, 5.0, 3.0)
-    assert got2.real == pytest.approx(REG2_5_3.real, rel=1e-10)
-    assert got2.imag == pytest.approx(REG2_5_3.imag, rel=1e-10)
-
-
-def test_reg_triple_finite_on_grid():
-    for dim in (2, 3):
-        for t in (10.0, 35.0, 60.0):
-            for tp in (10.0, 35.0, 60.0):
-                v = reg_triple(dim, t, tp)
-                assert math.isfinite(v.real) and math.isfinite(v.imag)
-                assert abs(v) > 0.0
-
-
-def test_reg_triple_guards():
-    with pytest.raises(ValueError):
-        reg_triple(2, 0.0, 3.0)
-    with pytest.raises(ValueError):
-        reg_triple(3, 5.0, 0.0)
-    with pytest.raises(ValueError):
-        reg_triple(5, 5.0, 3.0)
 
 
 def test_lower_bound_avg_frozen():

@@ -490,3 +490,19 @@ def test_dedekind_fourth_moment_vs_riemann_sum():
     coarse = sum(abs(be.zeta(0.5 + 1j * t) * dirichlet_L(0.5 + 1j * t, -4)) ** 4
                  for t in ts) * step
     assert abs(res.value - coarse) / coarse < 0.02
+
+
+def test_hurwitz_reg_at_and_near_the_pole_matches_mpmath():
+    """zeta(s, x) - 1/(s - 1) through s = 1, where it equals -psi(x), against
+    40-digit mpmath.  The boundary term (M^{1-s} - 1)/(s - 1) cancels here
+    and is taken as expm1(-(s - 1) log M)/(s - 1)."""
+    mpmath = pytest.importorskip("mpmath")
+    points = (1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-6j, 1.05 - 0.02j, 1.0 + 0.1j)
+    with mpmath.workdps(40):
+        for x in (0.05, 0.25, 1.0, 2.5):
+            want = complex(-mpmath.digamma(x))
+            assert abs(_hurwitz_reg(1.0, x) - want) <= 1e-14, x
+            for s in points:
+                ms = mpmath.mpc(s.real, s.imag)
+                want = complex(mpmath.zeta(ms, x) - 1 / (ms - 1))
+                assert abs(_hurwitz_reg(s, x) - want) <= 1e-14, (s, x)
