@@ -52,6 +52,7 @@ from .zeta import (
 
 __all__ = [
     "BLOCK_K_ARGS",
+    "TABLE_K_ARGS",
     "EisensteinH2",
     "EisensteinH3",
     "SeriesPlan",
@@ -68,11 +69,15 @@ __all__ = [
 
 _IMAG_ORDER_SWITCH = 8.0  # |Im nu| above which the balanced K route is used
 
-# most K arguments one block of nodes sends to `_k_scaled`: a plan splits its
-# nodes, in order, into blocks of equal node count within this bound.  The
-# cosh-integral route holds two (arguments x grid) float arrays per call, so
-# larger blocks raise peak RSS (1024 costs about 1.5 MB more) and run no faster
+# most K arguments in one block of nodes: a plan splits its nodes, in order,
+# into blocks of equal node count within this bound, and sums each block's
+# series at once.  Each block makes one cosh-integral K call, which holds two
+# (arguments x grid) float arrays, so larger blocks raise peak RSS (1024 costs
+# about 1.5 MB more) and run no faster
 BLOCK_K_ARGS = 256
+# most K arguments in one `_KTable` lookup: on the table route a run of whole
+# blocks shares one, so its fixed cost per call is paid once per run
+TABLE_K_ARGS = 8192
 
 
 # ----------------------------------------------------------------------------
@@ -209,9 +214,14 @@ def _cheb_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.arange(0, _CHEB_GRID + 1, step), check, fit
 
 
-def _cheb_eval(u: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_k coef[i, k] T_k(u[i]) for each i, elementwise in i."""
-    return (np.cos(np.outer(np.arccos(u), np.arange(coef.shape[1]))) * coef).sum(axis=1)
+def _cheb_eval(u: np.ndarray, coef: np.ndarray, rows: np.ndarray | int) -> np.ndarray:
+    """sum_k coef[rows[i], k] T_k(u[i]) for each i, elementwise in i, by
+    Clenshaw's recurrence b_k = 2u b_{k+1} - b_{k+2} + c_k; rows may be one index."""
+    cols, u2 = coef.T.copy(), (2.0 * u).astype(complex)
+    b1 = b2 = np.zeros(u.size, dtype=complex)
+    for k in range(coef.shape[1] - 1, 0, -1):
+        b1, b2 = u2 * b1 - b2 + cols[k][rows], b1
+    return u * b1 - b2 + cols[0][rows] if coef.shape[1] else b1
 
 
 class _KTable:
@@ -223,8 +233,11 @@ class _KTable:
     A level is taken once at least its last eighth of coefficients is
     chopped and its two check points agree with the direct values within
     1e-14 absolute; a panel that no level passes keeps no coefficients, and
-    `_k_scaled_batch` serves the arguments in it.  Coefficients depend only
-    on (nu, j), so a value never depends on which arguments came first.
+    `_k_scaled_batch` serves the arguments in it.  A panel where the scaled
+    bound |K_nu(x)| <= K_{1/2}(x) = sqrt(pi / 2x) e^{-x} (|Re nu| <= 1/2) is
+    below the chop at x = 2^j is one zero coefficient, with no direct call.
+    Coefficients depend only on (nu, j), so a value never depends on which
+    arguments came first.
     """
 
     def __init__(self, nu: complex) -> None:
@@ -232,7 +245,11 @@ class _KTable:
         self._panels: dict[int, np.ndarray] = {}
 
     def _fill(self, j: int) -> np.ndarray:
-        xs = math.ldexp(1.0, j - 1) * (3.0 + _CHEB_U)
+        x0 = math.ldexp(1.0, j)
+        log_bound = 0.5 * math.pi * abs(self.nu.imag) - x0 + 0.5 * math.log(0.5 * math.pi / x0)
+        if abs(self.nu.real) <= 0.5 and log_bound < math.log(_CHEB_CHOP):
+            return self._panels.setdefault(j, np.zeros(1, dtype=complex))
+        xs = 0.5 * x0 * (3.0 + _CHEB_U)
         vals = np.full(xs.size, np.nan, dtype=complex)
         self._panels[j] = np.zeros(0, dtype=complex)
         for n in _CHEB_LEVELS:
@@ -242,7 +259,7 @@ class _KTable:
             vals[new] = _k_scaled_batch(self.nu, xs[new])
             coef = _real_dot(fit, vals[nodes])
             coef = coef[:np.flatnonzero(np.abs(coef) > _CHEB_CHOP).max(initial=0) + 1]
-            miss = np.abs(_cheb_eval(_CHEB_U[check], coef[None, :]) - vals[check])
+            miss = np.abs(_cheb_eval(_CHEB_U[check], coef[None, :], 0) - vals[check])
             if coef.size <= n - n // 8 and np.all(miss <= _CHEB_TOL):
                 self._panels[j] = coef
                 break
@@ -256,7 +273,7 @@ class _KTable:
         coef = np.zeros((len(rows), max((row.size for row in rows), default=0)), dtype=complex)
         for i, row in enumerate(rows):
             coef[i, :row.size] = row
-        out = _cheb_eval(4.0 * mant - 3.0, coef[inverse])
+        out = _cheb_eval(4.0 * mant - 3.0, coef, inverse)
         direct = np.array([row.size == 0 for row in rows], dtype=bool)[inverse]
         if direct.any():
             out[direct] = _k_scaled_batch(self.nu, xs[direct])
@@ -280,17 +297,23 @@ class SeriesPlan:
 
 def _k_blocks(nu: complex, table: _KTable | None, freqs: np.ndarray, heights: np.ndarray,
               counts: np.ndarray):
-    """(block, n, kvals) per slice of nodes sending at most BLOCK_K_ARGS arguments
-    to one `_k_scaled` call: n is the block's largest count, and kvals[i, k] the
-    scaled K at freqs[k] * heights[i] for k < counts[i], zero past it."""
-    step = max(1, BLOCK_K_ARGS // max(freqs.size, 1))
-    for a in range(0, heights.size, step):
-        block = slice(a, a + step)
-        n = int(counts[block].max())
-        used = np.arange(n) < counts[block, None]
+    """(block, n, kvals) per slice of nodes with at most BLOCK_K_ARGS arguments:
+    n is the block's largest count, and kvals[i, k] the scaled K at
+    freqs[k] * heights[i] for k < counts[i], zero past it.  One `_k_scaled`
+    call serves each block, or on the table route a run of blocks with at
+    most TABLE_K_ARGS arguments."""
+    step = chunk = max(1, BLOCK_K_ARGS // max(freqs.size, 1))
+    if table is not None and _k_shift(nu):
+        chunk *= max(1, TABLE_K_ARGS // max(freqs.size, 1) // step)
+    for c in range(0, heights.size, chunk):
+        width = int(counts[c:c + chunk].max())
+        used = np.arange(width) < counts[c:c + chunk, None]
         kvals = np.zeros(used.shape, dtype=complex)
-        kvals[used] = _k_scaled(nu, (freqs[:n] * heights[block, None])[used], table)
-        yield block, n, kvals
+        kvals[used] = _k_scaled(nu, (freqs[:width] * heights[c:c + chunk, None])[used], table)
+        for a in range(0, kvals.shape[0], step):
+            block = slice(c + a, c + a + step)
+            n = int(counts[block].max())
+            yield block, n, kvals[a:a + step, :n]
 
 
 class _FourierSeries:

@@ -17,6 +17,7 @@ from quelab.eisenstein import (
     eis_h3_lattice,
     gamma_factors,
     lower_bound_avg,
+    _cheb_eval,
     _k_scaled_batch,
     _KTable,
     _reduce_h2,
@@ -269,13 +270,58 @@ def test_k_table_fills_reuse_values_within_one_octave(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 28, 107])
+def test_cheb_eval_matches_cosine_sum(size):
+    """Clenshaw's recurrence against sum_k c_k cos(k arccos u), on rows of
+    mixed length read by index.  The coefficients decay geometrically, as a
+    resolved table's do; near u = +-1 the recurrence's rounding grows with
+    the length of a series whose coefficients do not decay."""
+    rng = np.random.default_rng(size)
+    coef = (rng.normal(size=(4, size)) + 1j * rng.normal(size=(4, size))) * 0.7 ** np.arange(size)
+    for i in range(1, 4):
+        coef[i, size - i * size // 4:] = 0.0
+    u = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 200),
+                        1.0 - np.geomspace(1e-16, 1e-2, 20), np.geomspace(1e-16, 1e-2, 20) - 1.0])
+    rows = rng.integers(0, 4, u.size)
+    want = (np.cos(np.outer(np.arccos(u), np.arange(size))) * coef[rows]).sum(axis=1)
+    got = _cheb_eval(u, coef, rows)
+    assert got.shape == u.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(coef).sum(axis=1)[rows])
+
+
+@pytest.mark.parametrize("tau", [8.0, 12.5, 26.0, 40.0, 100.0, 180.0])
+def test_k_table_zero_panels_lie_below_the_chop(tau):
+    """A panel the K_{1/2} bound zeroes starts past the turning point x = tau,
+    where |K_{i tau}(x)| decreases, so the 30-digit scaled K at its left end
+    bounds it: that is below the chop.  The direct route, whose noise there
+    reaches 1e-14, stays within the table tolerance of zero.  At tau = 26 the
+    bound at x = 64 is within e^10 of the chop, and the scaled K is 6.7e-14."""
+    mpmath = pytest.importorskip("mpmath")
+    nu = complex(0.0, tau)
+    table = _KTable(nu)
+    table(np.geomspace(1.0, 400.0, 400))
+    zero = [j for j, coef in table._panels.items() if coef.size == 1 and coef[0] == 0.0]
+    assert bool(zero) == (tau <= 100.0)
+    for j in zero:
+        assert 2.0 ** j > tau
+        with mpmath.workdps(30):
+            edge = abs(mpmath.exp(mpmath.pi * tau / 2) * mpmath.besselk(nu, 2.0 ** j))
+        assert edge <= eisenstein._CHEB_CHOP
+        xs = 2.0 ** (j - 1) * (3.0 + eisenstein._CHEB_U)
+        assert np.max(np.abs(_k_scaled_batch(nu, xs))) <= eisenstein._CHEB_TOL
+
+
 def test_k_table_failed_panel_falls_back_bit_for_bit(monkeypatch):
     monkeypatch.setattr(eisenstein, "_CHEB_TOL", -1.0)  # no check can pass
     nu = complex(0.0, 12.5)
     xs = np.linspace(9.0, 15.0, 9)  # all in the panel [2^3, 2^4]
     assert np.array_equal(_KTable(nu)(xs), _k_scaled_batch(nu, xs))
     wide = np.geomspace(4.0, 90.0, 40)
-    assert np.array_equal(_KTable(nu)(wide), _k_scaled_batch(nu, wide))
+    table, low = _KTable(nu), wide < 64.0
+    got = table(wide)
+    assert np.array_equal(got[low], _k_scaled_batch(nu, wide[low]))
+    # [64, 128] lies past the K_{1/2} bound: a zero panel, not a fallback
+    assert np.array_equal(table._panels[6], np.zeros(1)) and not got[~low].any()
 
 
 def test_plan_values_do_not_depend_on_evaluation_order():
@@ -343,7 +389,9 @@ def test_block_values_match_per_node_value(ev, center, t):
 def test_block_values_do_not_depend_on_block_size(monkeypatch, ev, center, t):
     """Blocks of one node against the default blocks.  Either way each node
     sends K exactly the arguments of its own truncation: its term count on
-    H^2, the distinct norms up to its cap on H^3."""
+    H^2, the distinct norms up to its cap on H^3.  On the table route one K
+    call serves a run of blocks of at most TABLE_K_ARGS arguments, and the
+    length of that run moves no value by a bit."""
     s, nodes, _, truncation = _block_case(ev, center, t)
     if isinstance(ev, EisensteinH2):
         per_node = truncation.tolist()
@@ -357,14 +405,29 @@ def test_block_values_do_not_depend_on_block_size(monkeypatch, ev, center, t):
         calls.append(len(xs))
         return _k_scaled(nu, xs, table)
 
+    block_args, table_args = eisenstein.BLOCK_K_ARGS, eisenstein.TABLE_K_ARGS
+
+    def run(block, table):
+        monkeypatch.setattr(eisenstein, "BLOCK_K_ARGS", block)
+        monkeypatch.setattr(eisenstein, "TABLE_K_ARGS", table)
+        calls.clear()
+        return ev.plan(s).values(*nodes)
+
     monkeypatch.setattr(eisenstein, "_k_scaled", counted)
-    default = ev.plan(s).values(*nodes)
-    assert 1 < len(calls) < nodes[0].size and sum(calls) == sum(per_node)
-    calls.clear()
-    monkeypatch.setattr(eisenstein, "BLOCK_K_ARGS", 1)
-    one_node_blocks = ev.plan(s).values(*nodes)
+    default = run(block_args, table_args)
+    assert sum(calls) == sum(per_node)
+    table_route = eisenstein._k_shift(complex(0.0, t)) > 0.0
+    if table_route:
+        assert max(calls) <= table_args
+        assert np.array_equal(run(block_args, block_args), default)
+        assert 1 < len(calls) and max(calls) <= block_args and sum(calls) == sum(per_node)
+    else:
+        assert 1 < len(calls) < nodes[0].size
+    one_node_blocks = run(1, 1)
     assert calls == per_node
     assert np.max(np.abs(one_node_blocks - default)) <= 1e-13 * np.max(np.abs(default))
+    if table_route:
+        assert np.array_equal(run(1, table_args), one_node_blocks)
 
 
 @pytest.mark.parametrize("ev, center, t", BLOCK_CASES[2:], ids=["gauss_table", "d43_cosh"])
