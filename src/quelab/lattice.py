@@ -227,10 +227,13 @@ def _prime_above(field: ImagQuadField, p: int) -> AlgebraicInt:
     raise ArithmeticError(f"no element of norm {p}; prime is inert")
 
 
-def _ideal_factorization(omega: AlgebraicInt) -> list[tuple[AlgebraicInt, int, int]]:
+@lru_cache(maxsize=4096)
+def _ideal_factorization(omega: AlgebraicInt) -> tuple[tuple[AlgebraicInt, int, int], ...]:
     """(prime element, prime ideal norm, exponent) for each prime ideal
     dividing the principal ideal (omega)."""
     field = omega.field
+    # omega^2 = w1 omega + w2
+    w1, w2 = (1, (field.D - 1) // 4) if field.half_basis else (0, field.D)
     triples: list[tuple[AlgebraicInt, int, int]] = []
     for p, a in _factor_int(omega.norm()):
         chi = field.chi(p)
@@ -241,14 +244,21 @@ def _ideal_factorization(omega: AlgebraicInt) -> list[tuple[AlgebraicInt, int, i
         elif chi == 0:
             triples.append((_prime_above(field, p), p, a))
         else:
-            pi, rest, e = _prime_above(field, p), omega, 0
-            while e < a and (q := rest.divide_exact(pi)) is not None:
-                rest, e = q, e + 1
+            # pi divides rest iff p divides both coordinates of rest * conj(pi),
+            # and rest / pi is that product over p
+            pi = _prime_above(field, p)
+            bar = pi.conj()
+            u, v, e = omega.u, omega.v, 0
+            while e < a:
+                u, v = u * bar.u + w2 * v * bar.v, u * bar.v + v * bar.u + w1 * v * bar.v
+                if u % p or v % p:
+                    break
+                u, v, e = u // p, v // p, e + 1
             if e:
                 triples.append((pi, p, e))
             if a - e:
-                triples.append((pi.conj(), p, a - e))
-    return triples
+                triples.append((bar, p, a - e))
+    return tuple(triples)
 
 
 def divisor_sigma(field: ImagQuadField, s: complex, omega: AlgebraicInt) -> complex:
@@ -291,6 +301,7 @@ def repr_count(Q: BinaryQuadraticForm, m: int) -> int:
     return count
 
 
+@lru_cache(maxsize=4096)
 def kronecker_chi(d_K: int, m: int) -> int:
     """Kronecker symbol (d_K / m) for m >= 1."""
     if m < 1:

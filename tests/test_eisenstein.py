@@ -513,16 +513,22 @@ def test_values_of_no_nodes_are_empty():
     assert EisensteinH3(field=QI).plan(complex(1.0, 9.0)).values(z, np.zeros(0)).shape == (0,)
 
 
-@pytest.mark.parametrize("tau", [2.0, 8.0, 13.0, 40.0, 80.0, 180.0])
-def test_balanced_k_route_matches_mpmath(tau):
+@pytest.mark.parametrize("order", [2.0, 8.0, 13.0, 40.0, 80.0, 180.0, 0.3 + 20j, 0.3 + 100j])
+def test_balanced_k_route_matches_mpmath(order):
     """`_k_scaled_batch`, one argument per call and all in one batch, and
-    from tau = 8 on `_KTable`, in absolute error on the scaled K."""
+    from tau = 8 on `_KTable`, in absolute error on the scaled K.  A real
+    order is tau in nu = i tau; a complex one is nu itself, off the critical
+    line.  The arguments include the H^2 `value` arguments 2 pi n at z = i
+    and x near 1, where the phase rounding of the quadrature is largest."""
     mpmath = pytest.importorskip("mpmath")
-    nu = complex(0.0, tau)
-    xs = np.array([1.0, 2.5, 7.0, tau / 2.0 + 1.0, tau, 1.5 * tau + 3.0, 120.0, 250.0])
+    nu = complex(order) if isinstance(order, complex) else complex(0.0, order)
+    tau = nu.imag
+    n_terms = EisensteinH2().terms_for(1.0, tau)
+    xs = np.array([0.9, 1.0, 1.1, 2.5, 7.0, tau / 2.0 + 1.0, tau, 1.5 * tau + 3.0, 120.0, 250.0]
+                  + [2.0 * math.pi * n for n in range(1, n_terms + 1)])
     with mpmath.workdps(30):
-        want = np.array([complex(mpmath.exp(mpmath.pi * tau / 2) * mpmath.besselk(nu, x))
-                         for x in xs])
+        want = np.array([complex(mpmath.exp(mpmath.pi * tau / 2)
+                                 * mpmath.besselk(mpmath.mpc(nu.real, tau), x)) for x in xs])
     single = np.concatenate([_k_scaled_batch(nu, xs[i:i + 1]) for i in range(xs.size)])
     assert np.max(np.abs(single - want)) <= 5e-14
     assert np.max(np.abs(_k_scaled_batch(nu, xs) - want)) <= 5e-14

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from quelab.lattice import _ideal_factorization
 from quelab.lattice import (
     AlgebraicInt,
     BinaryQuadraticForm,
@@ -135,6 +136,25 @@ def test_divisor_sigma_against_brute_force():
             got = divisor_sigma(fld, s, w)
             want = _brute_sigma(fld, s, w, pool)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_ideal_factorization_valuations_by_exact_division():
+    """Each (prime, norm, exponent) triple is an exact prime-power divisor:
+    pi^e divides omega and pi^(e+1) does not (by `divide_exact`), distinct
+    triples name distinct prime ideals, and the norms multiply to N(omega)."""
+    for D in ALL_D:
+        fld = ImagQuadField(D)
+        for w in enumerate_by_norm(fld, 150):
+            triples = _ideal_factorization(w)
+            assert math.prod(q ** e for _, q, e in triples) == w.norm()
+            assert len({(p.u, p.v) for p, _, _ in triples}) == len(triples)
+            for p, q, e in triples:
+                assert p.norm() == q and e >= 1
+                rest = w
+                for _ in range(e):
+                    rest = rest.divide_exact(p)
+                    assert rest is not None
+                assert rest.divide_exact(p) is None
 
 
 def test_divisor_sigma_multiplicative_on_coprime_pairs():
