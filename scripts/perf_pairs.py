@@ -1,16 +1,18 @@
 """Alternating benchmark pairs of two checkouts of quelab.
 
     python3 scripts/perf_pairs.py --parent OLD --change NEW --workload spectral_sweep \
-        --seconds 10 --seeds 501 502 503 504 505 506 507 508 509 510
+        --seeds 501 502 503 504 505 506 507 508 509 510
 
 Runs `perfbench/run.py` of each checkout (in that checkout) once per seed and
-side, on the same workload, run length and seed, alternating which side runs
-first: the parent for even pair indices, the change for odd ones.  Prints
-every run's metrics, then per metric each side's median and quartiles, the
-ratio of the medians (change / parent), the pairs each side won (ties count
-for neither) and whether a gain may be claimed: the change wins at least nine
-tenths of the pairs and its median differs from the parent's by more than the
-distance between the parent's quartiles.  Standard library only.
+side, on the same workload and seed, at the run length `run_seconds` of the
+parent's BENCHMARK.json, alternating which side runs first: the parent for
+even pair indices, the change for odd ones.  Prints every run's metrics, then
+per metric each side's median and quartiles, the ratio of the medians
+(change / parent), the pairs each side won (ties count for neither) and
+whether a gain may be claimed: the change wins at least nine tenths of the
+pairs, its median differs from the parent's by more than the distance between
+the parent's quartiles, and it failed no more checks than the parent.
+Standard library only.
 """
 from __future__ import annotations
 
@@ -44,8 +46,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent: list[float], change: list[float], lower_is_better: bool = True) -> dict:
-    """Pairwise comparison of one metric; parent[i] and change[i] form pair i."""
+def summarize(parent: list[float], change: list[float], lower_is_better: bool = True,
+              failed: tuple[int, int] = (0, 0)) -> dict:
+    """Pairwise comparison of one metric; parent[i] and change[i] form pair i, and
+    `failed` holds the failed checks of all of (parent, change)'s runs."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need equally many runs on each side, at least one")
     sign = 1.0 if lower_is_better else -1.0
@@ -57,7 +61,7 @@ def summarize(parent: list[float], change: list[float], lower_is_better: bool = 
         "parent": pq, "change": cq,
         "ratio": cq[1] / pq[1] if pq[1] else float("nan"),
         "wins": wins, "losses": losses, "pairs": len(parent),
-        "gain": wins >= 0.9 * len(parent) and gap > pq[2] - pq[0],
+        "gain": wins >= 0.9 * len(parent) and gap > pq[2] - pq[0] and failed[1] <= failed[0],
     }
 
 
@@ -66,33 +70,33 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            metrics = run_bench(getattr(args, side), args.workload, args.seconds, seed)
+            metrics = run_bench(getattr(args, side), args.workload, seconds, seed)
             runs[side].append(metrics)
             print(f"pair {i} seed {seed} {side:<6} "
                   + " ".join(f"{k}={v:.6g}" for k, v in metrics.items()), flush=True)
 
-    print(f"\n{args.workload}, {len(args.seeds)} pairs of {args.seconds:g} s runs "
+    failed = tuple(sum(r["failed"] for r in runs[side]) for side in ("parent", "change"))
+    print(f"\n{args.workload}, {len(args.seeds)} pairs of {seconds:g} s runs "
           "(median [q1, q3]); ratio = change / parent")
     for name in runs["parent"][0]:
         if name == "failed":
             continue
         s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                      better.get(name, "lower") == "lower")
+                      better.get(name, "lower") == "lower", failed)
         (p1, p2, p3), (c1, c2, c3) = s["parent"], s["change"]
         print(f"  {name:<12} parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} "
               f"[{c1:.4g}, {c3:.4g}]  ratio {s['ratio']:.3f}  change won {s['wins']} "
               f"of {s['pairs']}, lost {s['losses']}  gain {'yes' if s['gain'] else 'no'}")
-    failed = [sum(r["failed"] for r in runs[side]) for side in ("parent", "change")]
     print(f"  failed checks: parent {failed[0]}, change {failed[1]}")
     return 0
 

@@ -139,7 +139,8 @@ def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
         raise ValueError("argument range too wide for the balanced K route")
     # edges at equal phase steps c: in s = asinh v the phase x_max sinh s + tau s
     # is convex, so Newton from the upper bound min(asinh(c / x_max), c / tau)
-    # descends monotonically; three steps put each panel within 6 % of 12 rad
+    # descends monotonically; three steps put each panel within 6 % of 12 rad.
+    # 16 rad per panel leaves 4e-13 at tau = 8, x = 0.1, where few panels span v0
     c = np.linspace(0.0, total_phase, int(total_phase / 12.0) + 2)
     s = np.arcsinh(c / x_max)
     if tau > 0.0:
@@ -150,8 +151,7 @@ def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
     edges[-1] = v0
     v, wv = panel_nodes(edges, 24)
     lw = np.arcsinh(v)
-    # on the critical line cosh(nu asinh v) = cos(tau asinh v) is real
-    g = (np.cos(tau * lw) if sig == 0.0 else np.cosh(nu * lw)) / np.sqrt(1.0 + v * v)
+    g = np.cosh(nu * lw) / np.sqrt(1.0 + v * v)
     vals = _real_dot(np.cos(np.outer(xs, v)), wv * g)
 
     # tail: |integrand| <= e^{-x u / 2} since tau / v0 <= x_min / 2; panels
@@ -184,8 +184,8 @@ def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a real matrix a and a real or complex vector b, without a complex copy of a."""
-    return a @ b if np.isrealobj(b) else a @ b.real + 1j * (a @ b.imag)
+    """a @ b for a real matrix a and a complex vector b, without a complex copy of a."""
+    return a @ b.real + 1j * (a @ b.imag)
 
 
 def _k_shift(nu: complex) -> float:

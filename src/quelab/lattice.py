@@ -232,8 +232,6 @@ def _ideal_factorization(omega: AlgebraicInt) -> tuple[tuple[AlgebraicInt, int, 
     """(prime element, prime ideal norm, exponent) for each prime ideal
     dividing the principal ideal (omega)."""
     field = omega.field
-    # omega^2 = w1 omega + w2
-    w1, w2 = (1, (field.D - 1) // 4) if field.half_basis else (0, field.D)
     triples: list[tuple[AlgebraicInt, int, int]] = []
     for p, a in _factor_int(omega.norm()):
         chi = field.chi(p)
@@ -244,20 +242,13 @@ def _ideal_factorization(omega: AlgebraicInt) -> tuple[tuple[AlgebraicInt, int, 
         elif chi == 0:
             triples.append((_prime_above(field, p), p, a))
         else:
-            # pi divides rest iff p divides both coordinates of rest * conj(pi),
-            # and rest / pi is that product over p
-            pi = _prime_above(field, p)
-            bar = pi.conj()
-            u, v, e = omega.u, omega.v, 0
-            while e < a:
-                u, v = u * bar.u + w2 * v * bar.v, u * bar.v + v * bar.u + w1 * v * bar.v
-                if u % p or v % p:
-                    break
-                u, v, e = u // p, v // p, e + 1
+            pi, rest, e = _prime_above(field, p), omega, 0
+            while e < a and (q := rest.divide_exact(pi)) is not None:
+                rest, e = q, e + 1
             if e:
                 triples.append((pi, p, e))
             if a - e:
-                triples.append((bar, p, a - e))
+                triples.append((pi.conj(), p, a - e))
     return tuple(triples)
 
 

@@ -27,6 +27,9 @@ def test_summary_counts_wins_and_applies_the_gain_rule():
                                      + [p - 0.05 for p in parent[5:]])["gain"]
     # a gap past the quartiles with only 8 wins of 10
     assert not perf_pairs.summarize(parent, change[:8] + [1.5, 1.5])["gain"]
+    # the same numbers, but the change failed more checks than the parent
+    assert not perf_pairs.summarize(parent, change, failed=(0, 1))["gain"]
+    assert perf_pairs.summarize(parent, change, failed=(2, 2))["gain"]
     # higher is better: the same numbers read the other way round
     flipped = perf_pairs.summarize(parent, change, lower_is_better=False)
     assert (flipped["wins"], flipped["losses"], flipped["gain"]) == (0, 9, False)
