@@ -139,7 +139,7 @@ def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
         raise ValueError("argument range too wide for the balanced K route")
     # edges at equal phase steps c: in s = asinh v the phase x_max sinh s + tau s
     # is convex, so Newton from the upper bound min(asinh(c / x_max), c / tau)
-    # descends monotonically; three steps put each panel within 6 % of 12 rad.
+    # descends monotonically; three steps put each panel within 20 % of 12 rad.
     # 16 rad per panel leaves 4e-13 at tau = 8, x = 0.1, where few panels span v0
     c = np.linspace(0.0, total_phase, int(total_phase / 12.0) + 2)
     s = np.arcsinh(c / x_max)
