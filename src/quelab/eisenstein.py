@@ -71,12 +71,11 @@ _IMAG_ORDER_SWITCH = 8.0  # |Im nu| above which the balanced K route is used
 
 # most K arguments in one block of nodes: a plan splits its nodes, in order,
 # into blocks of equal node count within this bound, and sums each block's
-# series at once.  Each block makes one cosh-integral K call, which holds two
-# (arguments x grid) float arrays, so larger blocks raise peak RSS (1024 costs
-# about 1.5 MB more) and run no faster
-BLOCK_K_ARGS = 256
-# most K arguments in one `_KTable` lookup: on the table route a run of whole
-# blocks shares one, so its fixed cost per call is paid once per run
+# series at once.  1024 against 256: qe_bianchi `wall_s` 0.82x (7 of 8 pairs
+# of 8 s runs), qe_h2 1.04x (5 of 8), peak RSS within 0.2 %
+BLOCK_K_ARGS = 1024
+# most K arguments in one K call: a run of whole blocks shares one, on every
+# route, so the fixed cost per call is paid once per run
 TABLE_K_ARGS = 8192
 
 
@@ -315,11 +314,9 @@ def _k_blocks(nu: complex, table: _KTable | None, freqs: np.ndarray, heights: np
     """(block, n, kvals) per slice of nodes with at most BLOCK_K_ARGS arguments:
     n is the block's largest count, and kvals[i, k] the scaled K at
     freqs[k] * heights[i] for k < counts[i], zero past it.  One `_k_scaled`
-    call serves each block, or on the table route a run of blocks with at
-    most TABLE_K_ARGS arguments."""
-    step = chunk = max(1, BLOCK_K_ARGS // max(freqs.size, 1))
-    if table is not None and _k_shift(nu):
-        chunk *= max(1, TABLE_K_ARGS // max(freqs.size, 1) // step)
+    call serves a run of whole blocks with at most TABLE_K_ARGS arguments."""
+    step = max(1, BLOCK_K_ARGS // max(freqs.size, 1))
+    chunk = step * max(1, TABLE_K_ARGS // max(freqs.size, 1) // step)
     for c in range(0, heights.size, chunk):
         width = int(counts[c:c + chunk].max())
         used = np.arange(width) < counts[c:c + chunk, None]

@@ -97,8 +97,8 @@ def ball_mass(dim: int, ball: GeodesicBall, t: float, evaluator,
     critical line of the surface.  The quadrature nodes (`ball_nodes`), or
     the Monte Carlo draws, go to the plan's `values` as node arrays, which
     the Eisenstein plans sum in blocks of at most `eisenstein.BLOCK_K_ARGS`
-    K-Bessel arguments, reading the K table for up to
-    `eisenstein.TABLE_K_ARGS` of them at once; quadrature sums w |E|^2.
+    K-Bessel arguments, evaluating K for up to `eisenstein.TABLE_K_ARGS` of
+    them at once; quadrature sums w |E|^2.
     Monte Carlo draws are deterministic in `seed` and merged by
     `math.fsum`, which rounds correctly, so the sum does not depend on how
     the draws are ordered.  A ball of more than MAX_BALL_NODES nodes

@@ -70,6 +70,14 @@ def test_h2_value_matches_heegner_route_at_large_t(t):
     assert abs(got - eis_h2_heegner(HeegnerPoint(1, 0, 1), s)) <= 1e-11
 
 
+@pytest.mark.parametrize("t", [2.5, 3.0, 4.0, 5.0, 6.0, 6.5, 7.0, 7.5, 7.9, 7.99])
+def test_h2_value_matches_heegner_route_below_switch(t):
+    """The cosh-integral K route (|Im nu| < 8) against the form-zeta route at z = i."""
+    s = complex(0.5, t)
+    got = EisensteinH2().value(PointH2(0.0, 1.0), s)
+    assert abs(got - eis_h2_heegner(HeegnerPoint(1, 0, 1), s)) <= 1e-11
+
+
 @pytest.mark.parametrize("t", [340.0, 400.0])
 def test_h2_value_is_finite_at_large_t(t):
     # one K batch over all terms of the series spanned too wide a range here
@@ -389,9 +397,10 @@ def test_block_values_match_per_node_value(ev, center, t):
 def test_block_values_do_not_depend_on_block_size(monkeypatch, ev, center, t):
     """Blocks of one node against the default blocks.  Either way each node
     sends K exactly the arguments of its own truncation: its term count on
-    H^2, the distinct norms up to its cap on H^3.  On the table route one K
-    call serves a run of blocks of at most TABLE_K_ARGS arguments, and the
-    length of that run moves no value by a bit."""
+    H^2, the distinct norms up to its cap on H^3.  On both K routes one K
+    call serves a run of blocks of at most TABLE_K_ARGS arguments.  On the
+    table route the length of that run moves no value by a bit; on the cosh
+    route it moves values by rounding only."""
     s, nodes, _, truncation = _block_case(ev, center, t)
     if isinstance(ev, EisensteinH2):
         per_node = truncation.tolist()
@@ -413,21 +422,25 @@ def test_block_values_do_not_depend_on_block_size(monkeypatch, ev, center, t):
         calls.clear()
         return ev.plan(s).values(*nodes)
 
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
     monkeypatch.setattr(eisenstein, "_k_scaled", counted)
     default = run(block_args, table_args)
-    assert sum(calls) == sum(per_node)
+    assert sum(calls) == sum(per_node) and max(calls) <= table_args
     table_route = eisenstein._k_shift(complex(0.0, t)) > 0.0
-    if table_route:
-        assert max(calls) <= table_args
-        assert np.array_equal(run(block_args, block_args), default)
-        assert 1 < len(calls) and max(calls) <= block_args and sum(calls) == sum(per_node)
-    else:
-        assert 1 < len(calls) < nodes[0].size
+    same = np.array_equal if table_route else close
     one_node_blocks = run(1, 1)
     assert calls == per_node
-    assert np.max(np.abs(one_node_blocks - default)) <= 1e-13 * np.max(np.abs(default))
-    if table_route:
-        assert np.array_equal(run(1, table_args), one_node_blocks)
+    assert close(one_node_blocks, default)
+    assert same(run(1, table_args), one_node_blocks)
+    # blocks small enough that a ball spans several: one K call per block
+    # against one per run of them
+    block = max(1, sum(per_node) // 4)
+    blocks = run(block, block)
+    assert 1 < len(calls) and sum(calls) == sum(per_node)
+    assert max(calls) <= max(block, max(per_node))
+    assert same(run(block, table_args), blocks)
 
 
 @pytest.mark.parametrize("ev, center, t", BLOCK_CASES[2:], ids=["gauss_table", "d43_cosh"])

@@ -123,8 +123,10 @@ def test_ball_mass_refuses_more_than_max_ball_nodes(monkeypatch):
         ball_mass(3, ball3, 5.0, EisensteinH3(field=QI), order=101)
 
 
-def test_ball_mass_makes_one_cosh_route_k_call_per_block(monkeypatch):
-    """Below |Im nu| = 8 every block of nodes shares one bessel_K_many call."""
+def test_ball_mass_makes_one_cosh_route_k_call_per_run_of_blocks(monkeypatch):
+    """Below |Im nu| = 8 a run of whole blocks of at most TABLE_K_ARGS
+    arguments shares one bessel_K_many call; runs of one block each give the
+    same mass within 1e-13."""
     calls = []
     bessel_K_many = eisenstein.bessel_K_many
 
@@ -135,12 +137,20 @@ def test_ball_mass_makes_one_cosh_route_k_call_per_block(monkeypatch):
     monkeypatch.setattr(eisenstein, "bessel_K_many", counted)
     ev = EisensteinH2()
     ball = GeodesicBall(2, PointH2(0.1, 1.2), 6.5 ** (-1.0 / 3.0))
-    ball_mass(2, ball, 6.5, ev, order=20)
+    runs = ball_mass(2, ball, 6.5, ev, order=20).raw_mass
     z, _ = ball_nodes(ball, 20)
     n_max = int(ev.terms_for(_reduce_h2(z).imag, 6.5).max())
     per_block = eisenstein.BLOCK_K_ARGS // n_max
-    assert 1 < len(calls) <= math.ceil(z.size / per_block)
+    per_run = per_block * (eisenstein.TABLE_K_ARGS // n_max // per_block)
+    assert len(calls) == math.ceil(z.size / per_run)
+    assert max(calls) <= eisenstein.TABLE_K_ARGS
+
+    calls.clear()
+    monkeypatch.setattr(eisenstein, "TABLE_K_ARGS", eisenstein.BLOCK_K_ARGS)
+    blocks = ball_mass(2, ball, 6.5, ev, order=20).raw_mass
+    assert 1 < len(calls) == math.ceil(z.size / per_block)
     assert max(calls) <= eisenstein.BLOCK_K_ARGS
+    assert abs(blocks - runs) <= 1e-13 * abs(runs)
 
 
 def test_cauchy_schwarz_single_configuration():

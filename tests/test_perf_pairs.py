@@ -35,3 +35,42 @@ def test_summary_counts_wins_and_applies_the_gain_rule():
     assert (flipped["wins"], flipped["losses"], flipped["gain"]) == (0, 9, False)
     with pytest.raises(ValueError):
         perf_pairs.summarize([1.0], [])
+
+
+def test_regression_rule_and_one_block_per_workload(tmp_path, monkeypatch, capsys):
+    parent = [1.0, 1.1, 1.2, 1.0, 1.1]
+    # median 1.1 against a bound of 0.25: 1.37 is inside it, 1.38 past it
+    assert not perf_pairs.summarize(parent, [1.37] * 5, bound=0.25)["regressed"]
+    assert perf_pairs.summarize(parent, [1.38] * 5, bound=0.25)["regressed"]
+    assert not perf_pairs.summarize(parent, [1.38] * 5)["regressed"]  # no bound
+    # higher is better: falling by more than the bound regresses
+    assert perf_pairs.summarize(parent, [0.8] * 5, lower_is_better=False, bound=0.1)["regressed"]
+    assert not perf_pairs.summarize(parent, [1.0] * 5, lower_is_better=False,
+                                    bound=0.1)["regressed"]
+
+    spec = {"run_seconds": 1, "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
+    (tmp_path / "BENCHMARK.json").write_text(perf_pairs.json.dumps(spec))
+    seen = []
+
+    def fake_run(checkout, workload, seconds, seed):
+        seen.append((checkout.name, workload, seed))
+        slow = checkout.name == "change" and workload == "b"
+        return {"wall_s": 2.0 if slow else 1.0, "peak_rss_mb": 30.0, "failed": 0}
+
+    (tmp_path / "change").mkdir()
+    monkeypatch.setattr(perf_pairs, "run_bench", fake_run)
+    assert perf_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path / "change"),
+                            "--workload", "a", "b", "--seeds", "1", "2"]) == 0
+    assert [w for _, w, _ in seen] == ["a"] * 4 + ["b"] * 4
+    # the parent runs first in even pairs, the change in odd ones
+    assert seen[:4] == [(tmp_path.name, "a", 1), ("change", "a", 1),
+                        ("change", "a", 2), (tmp_path.name, "a", 2)]
+    out = capsys.readouterr().out
+    blocks = out.split("\n\n")
+    a = next(b for b in blocks if b.startswith("a, 2 pairs"))
+    b = next(b for b in blocks if b.startswith("b, 2 pairs"))
+    assert "regressed no" in a and "regressed yes" not in a
+    wall_b = next(line for line in b.splitlines() if "wall_s" in line)
+    assert wall_b.endswith("regressed yes")

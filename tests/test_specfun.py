@@ -143,20 +143,71 @@ def test_bessel_k_matches_mpmath():
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (nu, x, abs(got - want))
 
 
-@pytest.mark.parametrize("tau", [2.0, 4.0, 5.0, 6.0, 7.0, 7.5, 7.9])
+@pytest.mark.parametrize("tau", [2.0, 4.0, 5.0, 6.0, 6.25, 7.0, 7.5, 7.9, 7.99])
 def test_cosh_k_route_matches_mpmath_below_switch(tau):
-    """`bessel_K_many(i tau, x)` on the orders the series sends to the cosh
-    integral, one argument per call and all in one batch, within 2e-16
+    """`bessel_K_many(sigma + i tau, x)` on the orders the series sends to the
+    cosh integral, one argument per call and all in one batch, within 2e-16
     absolute on K: the balanced series multiplies K by e^{pi tau / 2}, so
-    this is 2e-16 e^{pi tau / 2} on the scaled K it feeds."""
+    this is 2e-16 e^{pi tau / 2} on the scaled K it feeds.  The trapezoid
+    step leaves 0.2 at tau = 6.25."""
     mpmath = pytest.importorskip("mpmath")
-    nu = complex(0.0, tau)
     xs = np.geomspace(0.9, 120.0, 30)
-    with mpmath.workdps(30):
-        want = np.array([complex(mpmath.besselk(nu, x)) for x in xs])
-    single = np.concatenate([bessel_K_many(nu, xs[i:i + 1]) for i in range(xs.size)])
-    assert np.max(np.abs(single - want)) <= 2e-16
-    assert np.max(np.abs(bessel_K_many(nu, xs) - want)) <= 2e-16
+    for sigma in (0.0, 0.3, -0.5):
+        nu = complex(sigma, tau)
+        with mpmath.workdps(30):
+            want = np.array([complex(mpmath.besselk(nu, x)) for x in xs])
+        single = np.concatenate([bessel_K_many(nu, xs[i:i + 1]) for i in range(xs.size)])
+        assert np.max(np.abs(single - want)) <= 2e-16, sigma
+        assert np.max(np.abs(bessel_K_many(nu, xs) - want)) <= 2e-16, sigma
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 4.0, 6.25, 7.99])
+def test_cosh_k_route_small_x_relative_to_envelope(tau):
+    """For x from 0.02 to 0.9 the error is within 1e-15 K_{Re nu}(x), the
+    integral of the integrand's modulus, which bounds |K_nu(x)|.  Relative to
+    |K_nu(x)| itself no cosh quadrature can do that once tau > 1: for x < tau
+    the integral cancels down to about e^{-pi tau / 2} of the envelope."""
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.geomspace(0.02, 0.9, 20)
+    for sigma in (0.0, 0.3, -0.5):
+        nu = complex(sigma, tau)
+        with mpmath.workdps(30):
+            want = np.array([complex(mpmath.besselk(nu, x)) for x in xs])
+            envelope = np.array([float(mpmath.besselk(sigma, x)) for x in xs])
+        assert np.all(np.abs(bessel_K_many(nu, xs) - want) <= 1e-15 * envelope), sigma
+
+
+def test_bessel_k_many_batch_over_octaves():
+    """About 5,000 arguments over ten octaves, most of them in [1/2, 1), so
+    that the octave grouping and the bounded chunks both run, against one
+    call per argument; a value depends on its octave, not on its batch."""
+    from quelab import specfun
+
+    rng = np.random.default_rng(20)
+    xs = np.concatenate([rng.uniform(0.5, 1.0, 3000), np.geomspace(0.03, 30.0, 2000)])
+    rng.shuffle(xs)
+    for nu in (complex(0.0, 7.99), complex(0.3, 5.0)):
+        assert np.sum(xs < 1.0) * specfun._k_grid(0.5, nu)[0].size > specfun._K_CHUNK
+        batch = bessel_K_many(nu, xs)
+        single = np.concatenate([bessel_K_many(nu, xs[i:i + 1]) for i in range(xs.size)])
+        envelope = bessel_K_many(nu.real, xs).real
+        assert np.all(np.abs(batch - single) <= 1e-15 * envelope)
+
+
+def test_bessel_k_many_memory_is_bounded():
+    """200,000 arguments stay below 8 MB of numpy buffers at peak: the output
+    alone is 3.2 MB, and the (arguments x nodes) matrices are chunked."""
+    import tracemalloc
+
+    xs = np.geomspace(0.5, 200.0, 200_000)
+    tracemalloc.start()
+    try:
+        out = bessel_K_many(3j, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == xs.shape and np.all(np.isfinite(out))
+    assert peak < 8 * 2**20
 
 
 def test_bessel_k_many_matches_scalar():
