@@ -71,8 +71,9 @@ _IMAG_ORDER_SWITCH = 8.0  # |Im nu| above which the balanced K route is used
 
 # most K arguments in one block of nodes: a plan splits its nodes, in order,
 # into blocks of equal node count within this bound, and sums each block's
-# series at once.  1024 against 256: qe_bianchi `wall_s` 0.82x (7 of 8 pairs
-# of 8 s runs), qe_h2 1.04x (5 of 8), peak RSS within 0.2 %
+# series at once.  1024 against 256, in 8 perfbench pairs of 8 s runs on
+# 2 vCPUs: qe_bianchi `wall_s` 0.82x (7 of 8), qe_h2 1.04x (5 of 8), peak RSS
+# within 0.2 %
 BLOCK_K_ARGS = 1024
 # most K arguments in one K call: a run of whole blocks shares one, on every
 # route, so the fixed cost per call is paid once per run

@@ -183,7 +183,7 @@ def bessel_K_many(nu: complex, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.zeros(0, dtype=complex)
-    if np.any(xs <= 0.0):
+    if not np.all(xs > 0.0):
         raise ValueError("bessel_K_many requires x > 0")
     nu = complex(nu)
     expo = np.frexp(xs)[1]  # x in [2^(expo-1), 2^expo)

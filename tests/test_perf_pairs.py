@@ -35,19 +35,21 @@ def test_summary_counts_wins_and_applies_the_gain_rule():
     assert (flipped["wins"], flipped["losses"], flipped["gain"]) == (0, 9, False)
     with pytest.raises(ValueError):
         perf_pairs.summarize([1.0], [])
-
-
-def test_regression_rule_and_one_block_per_workload(tmp_path, monkeypatch, capsys):
-    parent = [1.0, 1.1, 1.2, 1.0, 1.1]
-    # median 1.1 against a bound of 0.25: 1.37 is inside it, 1.38 past it
-    assert not perf_pairs.summarize(parent, [1.37] * 5, bound=0.25)["regressed"]
-    assert perf_pairs.summarize(parent, [1.38] * 5, bound=0.25)["regressed"]
-    assert not perf_pairs.summarize(parent, [1.38] * 5)["regressed"]  # no bound
+    # regression: median 1.15 against a bound of 0.25, so 1.43 is inside it and
+    # 1.44 past it; no bound, no regression
+    assert not perf_pairs.summarize(parent, [1.43] * 10, bound=0.25)["regressed"]
+    assert perf_pairs.summarize(parent, [1.44] * 10, bound=0.25)["regressed"]
+    assert not perf_pairs.summarize(parent, [1.44] * 10)["regressed"]
     # higher is better: falling by more than the bound regresses
-    assert perf_pairs.summarize(parent, [0.8] * 5, lower_is_better=False, bound=0.1)["regressed"]
-    assert not perf_pairs.summarize(parent, [1.0] * 5, lower_is_better=False,
+    assert perf_pairs.summarize(parent, [1.0] * 10, lower_is_better=False, bound=0.1)["regressed"]
+    assert not perf_pairs.summarize(parent, [1.1] * 10, lower_is_better=False,
                                     bound=0.1)["regressed"]
 
+
+def test_one_block_per_workload_with_the_regression_rule(tmp_path, monkeypatch, capsys):
+    """Several workloads run in turn, each with its own summary block, and a
+    metric whose median is worse than the BENCHMARK.json bound reads
+    `regressed yes`."""
     spec = {"run_seconds": 1, "end_to_end": [
         {"name": "wall_s", "better": "lower", "bound": 0.25},
         {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}

@@ -222,3 +222,5 @@ def test_bessel_k_domain():
         _k_at(1j, 0.0)
     with pytest.raises(ValueError):
         _k_at(1j, -2.0)
+    with pytest.raises(ValueError, match="x > 0"):
+        _k_at(1j, float("nan"))
