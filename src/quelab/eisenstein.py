@@ -578,20 +578,18 @@ class EisensteinH3(_FourierSeries):
     """Fourier-expansion evaluator for the cusp-at-infinity series on H^3.
 
     Arguments are passed in the convention where the critical line is
-    Re S = 1; internally the expansion runs in s = S - 1.  The normalization
-    flag selects the full series E = (w/2) E_inf or the bare cusp series.
+    Re S = 1; internally the expansion runs in s = S - 1.  It returns the
+    full series E = (w/2) E_inf, w the unit count; the bare cusp series
+    E_inf is 2 / w times it.
     """
 
     field: ImagQuadField
     norm_cap: int | None = None
     height_floor: float = 0.5
     abs_tol: float = 1e-10
-    normalization: str = "E"
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.normalization not in ("E", "E_inf"):
-            raise ValueError("normalization must be 'E' or 'E_inf'")
         if self.norm_cap is not None:
             if self.norm_cap < 1:
                 raise ValueError("norm cap must be >= 1")
@@ -659,10 +657,7 @@ class EisensteinH3(_FourierSeries):
                     zvals[:m].real * z[block, None].imag + zvals[:m].imag * z[block, None].real)
                 series[block] = np.sum(coeff[:m] * kvals[:, inverse[:m]] * np.exp(1j * theta),
                                        axis=1)
-            out = const + pref * r * series
-            if self.normalization == "E":
-                out = out * (self.field.unit_count / 2.0)
-            return out
+            return (const + pref * r * series) * (self.field.unit_count / 2.0)
 
         return SeriesPlan(values)
 

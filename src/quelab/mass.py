@@ -42,6 +42,8 @@ __all__ = [
     "H2_MAIN_TERM",
     "MAX_GRID_POINTS",
     "MAX_BALL_NODES",
+    # re-exported: perfbench's tracer patches quelab.mass.ball_quadrature
+    "ball_quadrature",
 ]
 
 # 1 / vol(PSL_2(Z) \ H^2) with vol = pi/3
@@ -150,17 +152,18 @@ def mean_value_residual(dim: int, ball: GeodesicBall, t: complex, evaluator,
 
     The sharpest end-to-end probe in the package: the ball average of any
     Laplace eigenfunction equals the spherical transform of the normalized
-    indicator kernel times the center value.  The average goes through
-    `evaluator.plan(s)` and the center through `evaluator.value`, so for the
-    Eisenstein evaluators the check also compares the Chebyshev K table
-    against the direct K route.
+    indicator kernel times the center value.  The average sums w E over the
+    `ball_nodes` rule, from one `values` call of `evaluator.plan(s)`; the
+    center goes through `evaluator.value`, so for the Eisenstein evaluators
+    the check also compares the Chebyshev K table against the direct K route.
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
     if ball.dimension != dim:
         raise ValueError("ball dimension does not match dim")
     s = _spectral_s(dim, t)
-    avg = ball_quadrature(ball, evaluator.plan(s), order=order) / ball_volume(dim, ball.radius)
+    *nodes, w = ball_nodes(ball, order)
+    avg = complex(np.dot(w, evaluator.plan(s).values(*nodes))) / ball_volume(dim, ball.radius)
     h = h_char(BallKernel(dim, ball.radius), t)
     center = evaluator.value(ball.center, s)
     pred = h * center

@@ -6,9 +6,8 @@ eigenfunction with spectral parameter t as multiplication by
     h(t) = I(t) / I(t0),    I(t) = integral_0^R (cosh R - cosh u)^{(n-1)/2} cos(tu) du,
 
 with t0 = i(n-1)/2 the parameter of the constant eigenfunction, so h(t0) = 1
-by construction.  Three routes: Gauss-Legendre quadrature of I(t) (in
-panels once Rt is large), the H^3 closed form, and the small-R Bessel
-asymptotic.
+by construction.  Three routes: composite Gauss-Legendre quadrature of
+I(t), the H^3 closed form, and the small-R Bessel asymptotic.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import panel_nodes
-from .geometry import GeodesicBall, ball_quadrature, ball_volume
+from .geometry import ball_quadrature
 from .specfun import bessel_J
 
 __all__ = [
@@ -28,7 +27,8 @@ __all__ = [
     "h_char",
     "h_closed_h3",
     "h_bessel_asym",
-    "mean_value_apply",
+    # re-exported: perfbench's tracer patches quelab.selberg.ball_quadrature
+    "ball_quadrature",
 ]
 
 
@@ -47,11 +47,11 @@ class BallKernel:
 # ----------------------------------------------------------------------------
 # Direct quadrature of I(t).  The substitution u = R(1 - x^2) makes the
 # integrand analytic: (cosh R - cosh u)^m = x^{2m} g(x^2)^m with g > 0.
-# Past _PANEL_CAP nodes the rule is split into equal panels, because one
-# long Gauss-Legendre rule costs more than n^2 to build (_quad.gauss_legendre);
-# up to _PANEL_CAP nodes (R*t <= 57) it is a single rule.
+# The rule is composite, in equal panels of _PANEL_NODES Gauss-Legendre
+# nodes each, so every R and t shares one cached rule; about 1.4 R t + 48
+# nodes in all resolve the oscillation cos(t u).
 
-_PANEL_CAP = 128
+_PANEL_NODES = 24
 
 # float64 spans about e^{-708} to e^{709}; the integrands' logarithms stay
 # within this margin of 0, which leaves room for the weights and the sum
@@ -77,11 +77,11 @@ def amplitude_in_range(n: int, R: float) -> bool:
 
 
 def _amplitude_integral(R: float, m: float, t: complex) -> complex:
-    nodes = int(1.4 * (abs(t.real) * R)) + 48
-    panels = -(-nodes // _PANEL_CAP)
-    x, w = panel_nodes(np.linspace(0.0, 1.0, panels + 1), -(-nodes // panels))
+    panels = -(-(int(1.4 * (abs(t.real) * R)) + 48) // _PANEL_NODES)
+    x, w = panel_nodes(np.linspace(0.0, 1.0, panels + 1), _PANEL_NODES)
     u = R * (1.0 - x * x)
-    amp = np.power(math.cosh(R) - np.cosh(u), m) * (2.0 * R * x)
+    # cosh R - cosh u as a product of sinh, free of cancellation at small R
+    amp = np.power(2.0 * np.sinh(0.5 * (R + u)) * np.sinh(0.5 * R * x * x), m) * (2.0 * R * x)
     if t.imag == 0.0 and t.real >= 0.0:
         return float(np.dot(amp * np.cos(t.real * u), w))
     phase = np.cos(t * u.astype(complex))
@@ -156,19 +156,3 @@ def h_bessel_asym(kernel: BallKernel, t: float) -> float:
         raise ValueError("asymptotic regime needs R*t >= 5 and R <= 0.2")
     nu = 0.5 * kernel.n
     return math.gamma(nu + 1.0) * (2.0 / x) ** nu * bessel_J(nu, x)
-
-
-def mean_value_apply(n: int, ball: GeodesicBall, eigenfunction, t,
-                     order: int = 32) -> tuple[complex, complex]:
-    """Ball average of an eigenfunction next to its predicted value.
-
-    Returns (avg, predicted) where avg is the quadrature mean over the ball
-    and predicted = h_char(t) * eigenfunction(center).
-    """
-    if n != ball.dimension:
-        raise ValueError("dimension mismatch with the ball")
-    vol = ball_volume(n, ball.radius)
-    avg = ball_quadrature(ball, eigenfunction, order=order) / vol
-    kernel = BallKernel(n, ball.radius)
-    predicted = h_char(kernel, t) * eigenfunction(ball.center)
-    return avg, predicted

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -145,6 +146,9 @@ def _k_cutoff(x: float, re_nu: float) -> float:
     u = math.acosh(1.0 + 42.0 / x)
     for _ in range(12):
         u = math.acosh(1.0 + (42.0 + a * u) / x)
+    if not math.isfinite(u):  # cosh U = 1 + (42 + a U) / x overflows
+        raise ValueError(f"x below {2.0 * x:.3g} is too small for K at Re nu = {re_nu:g}: "
+                         "cosh u overflows float64 before the e^-42 cutoff")
     return u
 
 
@@ -183,11 +187,12 @@ def bessel_K_many(nu: complex, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.zeros(0, dtype=complex)
-    if not np.all(xs > 0.0):
-        raise ValueError("bessel_K_many requires x > 0")
+    if not np.all(xs >= sys.float_info.min):
+        raise ValueError("bessel_K_many requires x > 0, and x >= sys.float_info.min "
+                         f"= {sys.float_info.min!r} (the smallest normal float)")
     nu = complex(nu)
     expo = np.frexp(xs)[1]  # x in [2^(expo-1), 2^expo)
-    # bincount, not np.unique, whose first call imports numpy.ma (about 14 ms)
+    # bincount, not a bare np.unique, whose first call imports numpy.ma (about 14 ms)
     low = int(expo.min())
     out = np.empty(xs.shape, dtype=complex)
     for e in (low + np.flatnonzero(np.bincount(expo - low))).tolist():

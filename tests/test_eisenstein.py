@@ -129,12 +129,12 @@ def test_h2_guards():
 
 def test_h3_frozen_value_and_lattice_route():
     P = PointH3(0.3 + 0.2j, 1.1)
-    ev = EisensteinH3(field=QI, normalization="E_inf")
-    got = ev.value(P, 2.5)
+    ev = EisensteinH3(field=QI)
+    got = ev.value(P, 2.5) * 2 / QI.unit_count  # the bare cusp series E_inf
     assert got.real == pytest.approx(H3_QI_25, abs=1e-9)
     assert abs(got.imag) < 1e-12
     for S in (2.5, 1.0 + 4.0j):
-        f = ev.value(P, S)
+        f = ev.value(P, S) * 2 / QI.unit_count
         l = eis_h3_lattice(P, S, QI)
         assert abs(f - l) <= 1e-10 * max(1.0, abs(f))
 
@@ -172,24 +172,14 @@ def test_h3_fourier_vs_coset_real_s():
     to cap^{4-2S}; one extrapolation step with the known exponent removes it.
     """
     P = PointH3(0.3 + 0.2j, 1.1)
-    ev = EisensteinH3(field=QI, normalization="E_inf")
+    ev = EisensteinH3(field=QI)
     for S in (2.2, 3.0):
-        fourier = ev.value(P, S).real
+        fourier = (ev.value(P, S) * 2 / QI.unit_count).real
         c40 = eis_h3_coset(P, S, QI, cap=40).real
         c80 = eis_h3_coset(P, S, QI, cap=80).real
         alpha = 2.0 * S - 4.0
         accel = c80 + (c80 - c40) / (2.0**alpha - 1.0)
         assert abs(accel - fourier) <= 1e-4, (S, abs(accel - fourier))
-
-
-def test_h3_normalization_ratio():
-    P = PointH3(0.2 + 0.1j, 1.0)
-    S = 1.0 + 6.0j
-    for D, ratio in ((-1, 2.0), (-3, 3.0)):
-        fld = ImagQuadField(D)
-        full = EisensteinH3(field=fld, normalization="E").value(P, S)
-        bare = EisensteinH3(field=fld, normalization="E_inf").value(P, S)
-        assert abs(full - ratio * bare) <= 1e-12 * abs(full)
 
 
 def test_h3_cap_doubling_below_tail_bound():
@@ -211,8 +201,6 @@ def test_h3_guards():
             ev.value(P, bad)
     with pytest.raises(ValueError):
         EisensteinH3(field=QI, height_floor=1.5).value(P, 2.5)
-    with pytest.raises(ValueError):
-        EisensteinH3(field=QI, normalization="full")
     with pytest.raises(ValueError):
         EisensteinH3(field=QI, norm_cap=2)
 

@@ -179,18 +179,47 @@ def test_mean_value_residual_h2():
     assert mean_value_residual(2, ball, 5.0, EisensteinH2()) <= 1e-3
 
 
-def test_mean_value_residual_constant_series():
-    ball = GeodesicBall(2, PointH2(0.1, 1.1), 0.3)
+class _One:
+    """The constant eigenfunction, on H^2 or H^3."""
 
-    class _One:
+    def value(self, p, s):
+        return 1.0
+
+    def plan(self, s):
+        return SeriesPlan(lambda z, *r: np.full(z.shape, self.value(None, s), dtype=complex))
+
+
+def test_mean_value_residual_constant_series():
+    # the constant eigenfunction sits at t = i(n-1)/2, where h = 1
+    b2 = GeodesicBall(2, PointH2(0.1, 1.1), 0.3)
+    assert mean_value_residual(2, b2, 0.5j, _One()) <= 1e-12
+    b3 = GeodesicBall(3, PointH3(0.1 + 0.1j, 1.0), 0.3)
+    assert mean_value_residual(3, b3, 1j, _One()) <= 1e-12
+    with pytest.raises(ValueError, match="ball dimension"):
+        mean_value_residual(3, b2, 1j, _One())
+
+
+def test_mean_value_residual_sums_one_values_call():
+    """The ball average takes all order^3 nodes of an H^3 ball in one `values` call."""
+    ev = EisensteinH3(field=QI)
+    sizes = []
+
+    class _Spy:
         def value(self, p, s):
-            return 1.0
+            return ev.value(p, s)
 
         def plan(self, s):
-            return SeriesPlan(lambda z: np.full(z.shape, self.value(None, s), dtype=complex))
+            inner = ev.plan(s)
 
-    # the constant eigenfunction sits at t = i/2 where h = 1
-    assert mean_value_residual(2, ball, 0.5j, _One()) <= 1e-12
+            def values(z, r):
+                sizes.append(z.size)
+                return inner.values(z, r)
+            return SeriesPlan(values)
+
+    ball = GeodesicBall(3, PointH3(0.1 + 0.2j, 1.0), 0.3)
+    res = mean_value_residual(3, ball, 8.0, _Spy(), order=8)
+    assert sizes == [8 ** 3]
+    assert res == mean_value_residual(3, ball, 8.0, ev, order=8)
 
 
 def test_mean_value_residual_non_informative():

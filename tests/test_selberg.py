@@ -6,14 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from quelab.geometry import GeodesicBall, PointH2, PointH3
 from quelab.selberg import (
     BallKernel,
     amplitude_in_range,
     h_bessel_asym,
     h_char,
     h_closed_h3,
-    mean_value_apply,
 )
 from quelab.specfun import bessel_J
 
@@ -177,16 +175,3 @@ def test_kernel_guards():
     for t in (5j, -5j):
         with pytest.raises(ValueError, match="outside the admitted strip"):
             h_char(BallKernel(3, 0.5), t)
-
-
-def test_mean_value_constant_function():
-    b2 = GeodesicBall(2, PointH2(0.2, 1.1), 0.4)
-    avg, pred = mean_value_apply(2, b2, lambda p: 1.0, 0.5j)
-    assert abs(avg - 1.0) < 1e-10 and abs(pred - 1.0) < 1e-10
-
-    b3 = GeodesicBall(3, PointH3(0.1 + 0.1j, 1.0), 0.3)
-    avg, pred = mean_value_apply(3, b3, lambda p: 1.0, 1.0j)
-    assert abs(avg - 1.0) < 1e-10 and abs(pred - 1.0) < 1e-10
-
-    with pytest.raises(ValueError):
-        mean_value_apply(3, b2, lambda p: 1.0, 1.0j)

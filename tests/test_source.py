@@ -163,9 +163,10 @@ def test_binding_check_sees_a_deleted_binding():
     assert missing == ["geometry.ball_quadrature@quelab.selberg"]
 
 
-# Evaluates one table-route ball on H^2 and one on Z[i] in a fresh
-# interpreter and prints which of the named numpy modules got imported;
-# `prepare` runs after the quelab imports.
+# Evaluates one table-route ball on H^2 and one on Z[i], one cosh-route ball
+# (t < 8) and one `value` call on each surface in a fresh interpreter, and
+# prints which of the named numpy modules got imported; `prepare` runs after
+# the quelab imports.
 _MODULE_PROBE = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -174,9 +175,12 @@ from quelab.geometry import GeodesicBall, PointH2, PointH3
 from quelab.lattice import ImagQuadField
 from quelab.mass import ball_mass
 {prepare}
+qi = EisensteinH3(ImagQuadField(-1))
 ball_mass(2, GeodesicBall(2, PointH2(0.1, 1.2), 0.4), 12.0, EisensteinH2(), order=10)
-ball_mass(3, GeodesicBall(3, PointH3(0.1 + 0.05j, 1.2), 0.4), 9.0,
-          EisensteinH3(ImagQuadField(-1)), order=6)
+ball_mass(3, GeodesicBall(3, PointH3(0.1 + 0.05j, 1.2), 0.4), 9.0, qi, order=6)
+ball_mass(2, GeodesicBall(2, PointH2(0.1, 1.2), 0.4), 5.0, EisensteinH2(), order=10)
+EisensteinH2().value(PointH2(0.1, 1.2), 0.5 + 12j)
+qi.value(PointH3(0.1 + 0.05j, 1.2), 1.0 + 9j)
 print(json.dumps([name for name in ("numpy.fft", "numpy.ma") if name in sys.modules]))
 """
 
@@ -190,8 +194,9 @@ def _heavy_numpy_modules(prepare: str = "") -> list[str]:
 
 
 def test_table_route_balls_import_no_heavy_numpy_module():
-    # numpy.fft adds about 0.7 MB and numpy.ma (loaded by np.unique without
-    # return_inverse, among others) about 1.6 MB to the benchmark's peak RSS
+    # numpy.fft adds about 0.7 MB and numpy.ma about 1.6 MB to the benchmark's
+    # peak RSS; on numpy 2.4 a bare np.unique(a) loads numpy.ma, while
+    # np.unique with return_inverse or return_counts does not
     assert _heavy_numpy_modules() == []
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -224,3 +225,11 @@ def test_bessel_k_domain():
         _k_at(1j, -2.0)
     with pytest.raises(ValueError, match="x > 0"):
         _k_at(1j, float("nan"))
+    # subnormal x is refused, with the bound named
+    for x in (1e-310, 5e-324):
+        with pytest.raises(ValueError, match="sys.float_info.min"):
+            _k_at(1j, x)
+    # just above that bound cosh of the e^-42 cutoff overflows float64
+    with pytest.raises(ValueError, match="too small for K"):
+        _k_at(1j, sys.float_info.min)
+    assert cmath.isfinite(_k_at(1j, 1e-300))
