@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from quelab.geometry import GeodesicBall, PointH2, PointH3, ball_quadrature, ball_volume
+from quelab.mass import mean_value_residual
 from quelab.selberg import (
     BallKernel,
     amplitude_in_range,
@@ -175,3 +177,22 @@ def test_kernel_guards():
     for t in (5j, -5j):
         with pytest.raises(ValueError, match="outside the admitted strip"):
             h_char(BallKernel(3, 0.5), t)
+
+
+def test_mean_value_constant_function():
+    # the constant eigenfunction sits at t = i(n-1)/2: its ball average and
+    # h(t) times its centre value are both 1
+    for ball, t in ((GeodesicBall(2, PointH2(0.2, 1.1), 0.4), 0.5j),
+                    (GeodesicBall(3, PointH3(0.1 + 0.1j, 1.0), 0.3), 1.0j)):
+        n = ball.dimension
+        avg = ball_quadrature(ball, lambda p: 1.0) / ball_volume(n, ball.radius)
+        pred = h_char(BallKernel(n, ball.radius), t) * 1.0
+        assert abs(avg - 1.0) < 1e-10 and abs(pred - 1.0) < 1e-10
+
+    class _One:
+        def value(self, p, s):
+            return 1.0
+
+    b2 = GeodesicBall(2, PointH2(0.2, 1.1), 0.4)
+    with pytest.raises(ValueError):
+        mean_value_residual(3, b2, 1.0j, _One())
