@@ -12,9 +12,12 @@ ratio of the medians (change / parent), the pairs each side won (ties count
 for neither), whether a gain may be claimed (the change wins at least nine
 tenths of the pairs, its median differs from the parent's by more than the
 distance between the parent's quartiles, and it failed no more checks than
-the parent) and whether it regressed (its median is worse than the parent's
+the parent), whether it regressed (its median is worse than the parent's
 by more than the metric's `bound` in BENCHMARK.json, as a fraction of the
-parent's median).  Standard library only.
+parent's median) and whether the pairs leave it unresolved (the distance
+between the parent's quartiles exceeds that bound, so "no regression" shows
+nothing, unless every change run beats every parent run).  Standard library
+only.
 """
 from __future__ import annotations
 
@@ -67,6 +70,8 @@ def summarize(parent: list[float], change: list[float], lower_is_better: bool = 
         "wins": wins, "losses": losses, "pairs": len(parent),
         "gain": wins >= 0.9 * len(parent) and gap > pq[2] - pq[0] and failed[1] <= failed[0],
         "regressed": -gap > bound * abs(pq[1]),
+        "unresolved": pq[2] - pq[0] > bound * abs(pq[1])
+        and not all(sign * (c - p) < 0.0 for c in change for p in parent),
     }
 
 
@@ -96,7 +101,8 @@ def compare(parent: Path, change: Path, workload: str, seeds: list[int], spec: d
         print(f"  {name:<12} parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} "
               f"[{c1:.4g}, {c3:.4g}]  ratio {s['ratio']:.3f}  change won {s['wins']} "
               f"of {s['pairs']}, lost {s['losses']}  gain {'yes' if s['gain'] else 'no'}  "
-              f"regressed {'yes' if s['regressed'] else 'no'}")
+              f"regressed {'yes' if s['regressed'] else 'no'}  "
+              f"unresolved {'yes' if s['unresolved'] else 'no'}")
     print(f"  failed checks: parent {failed[0]}, change {failed[1]}\n", flush=True)
 
 

@@ -36,7 +36,7 @@ from .lattice import (
     divisor_sigma,
     enumerate_by_norm,
 )
-from .lattice import _CLASS_NUMBER_ONE, _ideal_factorization
+from .lattice import _CLASS_NUMBER_ONE, _coordinates, _ideal_factorization
 from .selberg import BallKernel, h_char
 from .specfun import bessel_K_many, log_gamma
 from .zeta import (
@@ -528,48 +528,38 @@ def _in_sector(w: AlgebraicInt) -> bool:
     return w.u > 0 and w.v >= 0
 
 
-# The s-independent arithmetic of each field, grown to the largest cap asked
-# for: (cap, omega values, norms, factorization-pattern index of each omega,
-# first omega of each pattern, pattern -> index), sorted by (norm, angle).
-# A pattern is the (norm, exponent) pairs of the prime ideals dividing omega.
-# Patterns are numbered in order of first appearance, so a prefix of the
-# omegas holds patterns 0 .. the largest index among them.
+# Per field, at the largest cap asked for: (cap, omega values, norms, key index of
+# each omega, one omega per key), by (norm, angle); keys sort by norm first.  With
+# class number one the key (norm, content gcd(u, v)) fixes the prime-ideal exponents
+# of (omega) (Cohen, GTM 138, ch. 5): at a split p they add to v_p(N), the smaller
+# being v_p(content); an inert p has v_p(N) / 2, a ramified p v_p(N).
 _H3_FIELD_TABLES: dict[ImagQuadField, tuple] = {}
 
 
 def _h3_field_table(field_: ImagQuadField, cap: int) -> tuple:
-    """The field's table up to at least `cap`; growth factors the new shell only."""
-    table = _H3_FIELD_TABLES.get(field_) or (
-        0, np.empty(0, complex), np.empty(0, np.int64), np.empty(0, np.intp), (), {})
-    if table[0] >= cap:
-        return table
-    done, zvals, norms, kinds, reps, index = table
-    shell = enumerate_by_norm(field_, cap, done)
-    reps, index, fresh = list(reps), dict(index), []
-    for e in shell:
-        k = index.setdefault(tuple((q, a) for _, q, a in _ideal_factorization(e)), len(reps))
-        if k == len(reps):
-            reps.append(e)
-        fresh.append(k)
-    table = _H3_FIELD_TABLES[field_] = (
-        cap, np.concatenate([zvals, np.array([e.to_complex() for e in shell], dtype=complex)]),
-        np.concatenate([norms, np.array([e.norm() for e in shell], dtype=np.int64)]),
-        np.concatenate([kinds, np.array(fresh, dtype=np.intp)]), reps, index)
+    """The field's table up to at least `cap`; a larger cap rebuilds it whole."""
+    table = _H3_FIELD_TABLES.get(field_)
+    if table is None or table[0] < cap:
+        u, v, norms = _coordinates(field_, cap)
+        _, first, keys = np.unique(norms * (cap + 1) + np.gcd(u, v),
+                                   return_index=True, return_inverse=True)
+        reps = [field_.element(a, b) for a, b in zip(u[first].tolist(), v[first].tolist())]
+        table = _H3_FIELD_TABLES[field_] = (cap, u + v * field_.omega, norms, keys, reps)
     return table
 
 
 @lru_cache(maxsize=64)
 def _h3_term_table(field_: ImagQuadField, s_key: tuple[float, float], cap: int):
     """(omega, |omega|^s sigma_{-s}(omega), distinct norms, index of each omega's
-    norm) for norm(omega) <= cap, sorted by norm: a smaller cap's is a prefix.
-    sigma_{-s}(omega) depends on omega only through its factorization pattern,
-    so `divisor_sigma` runs once per pattern."""
+    norm) for norm(omega) <= cap, sorted by (norm, angle): a smaller cap's is a
+    prefix.  sigma_{-s} is bitwise a function of the (norm, content) key, so
+    `divisor_sigma` runs once per key, on its first omega, and factors no other."""
     s = complex(*s_key)
-    _, zvals, norms, kinds, reps, _ = _h3_field_table(field_, cap)
+    _, zvals, norms, keys, reps = _h3_field_table(field_, cap)
     n = int(np.searchsorted(norms, cap, side="right"))
-    sig = np.array([divisor_sigma(field_, -s, e) for e in reps[:kinds[:n].max() + 1]])
+    sig = np.array([divisor_sigma(field_, -s, e) for e in reps[:keys[:n].max() + 1]])
     norms, inverse = np.unique(norms[:n], return_inverse=True)
-    coeff = sig[kinds[:n]] * np.exp(s * np.log(np.sqrt(norms[inverse].astype(float))))
+    coeff = sig[keys[:n]] * np.exp(s * np.log(np.sqrt(norms[inverse].astype(float))))
     return zvals[:n], coeff, norms, inverse
 
 

@@ -152,9 +152,8 @@ class BinaryQuadraticForm:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
 
-def enumerate_by_norm(field: ImagQuadField, Nmax: int, Nmin: int = 0) -> list[AlgebraicInt]:
-    """All elements with Nmin < norm <= Nmax, sorted by (norm, angle); by default
-    every nonzero element of norm <= Nmax."""
+def _coordinates(field: ImagQuadField, Nmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer arrays (u, v, norm) of the nonzero elements of norm <= Nmax, by (norm, angle)."""
     if Nmax < 1:
         raise ValueError("Nmax must be >= 1")
     if Nmax > _ENUM_CAP:
@@ -173,10 +172,15 @@ def enumerate_by_norm(field: ImagQuadField, Nmax: int, Nmin: int = 0) -> list[Al
     v = np.repeat(rows, counts)
     u = np.arange(v.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     norm = u * u + (u * v + v * v * ((1 + absD) // 4) if field.half_basis else absD * v * v)
-    keep = norm > Nmin
-    u, v, norm = u[keep], v[keep], norm[keep]
-    order = np.lexsort((np.angle(u + v * field.omega) % (2.0 * math.pi), norm))
-    return [AlgebraicInt(field, a, b) for a, b in zip(u[order].tolist(), v[order].tolist())]
+    # [1:] drops zero, the one element of norm 0
+    order = np.lexsort((np.angle(u + v * field.omega) % (2.0 * math.pi), norm))[1:]
+    return u[order], v[order], norm[order]
+
+
+def enumerate_by_norm(field: ImagQuadField, Nmax: int) -> list[AlgebraicInt]:
+    """All nonzero elements of norm <= Nmax, sorted by (norm, angle)."""
+    u, v, _ = _coordinates(field, Nmax)
+    return [AlgebraicInt(field, a, b) for a, b in zip(u.tolist(), v.tolist())]
 
 
 @lru_cache(maxsize=4096)
@@ -253,13 +257,14 @@ def _ideal_factorization(omega: AlgebraicInt) -> tuple[tuple[AlgebraicInt, int, 
 
 
 def divisor_sigma(field: ImagQuadField, s: complex, omega: AlgebraicInt) -> complex:
-    """Generalized divisor sum: unit-class divisors d of omega, summing N(d)^s."""
+    """Sum of N(d)^s over unit-class divisors d of omega.  Local factors multiply in sorted
+    (norm, exponent) order, so it is bitwise a function of the exponents of (omega)."""
     if omega.field != field:
         raise ValueError("element does not belong to the given field")
     if omega.is_zero():
         raise ValueError("divisor sum of zero is undefined")
     total = 1.0 + 0.0j
-    for _, q, e in _ideal_factorization(omega):
+    for q, e in sorted((q, e) for _, q, e in _ideal_factorization(omega)):
         qs = complex(q) ** complex(s)
         acc = 1.0 + 0.0j
         term = 1.0 + 0.0j

@@ -195,14 +195,19 @@ def bessel_K_many(nu: complex, xs: np.ndarray) -> np.ndarray:
     # bincount, not a bare np.unique, whose first call imports numpy.ma (about 14 ms)
     low = int(expo.min())
     out = np.empty(xs.shape, dtype=complex)
-    for e in (low + np.flatnonzero(np.bincount(expo - low))).tolist():
-        u, w = _k_grid(math.ldexp(0.5, e), nu)
-        neg_cu = -np.cosh(u)
-        where = np.flatnonzero(expo == e)
-        rows = max(1, _K_CHUNK // u.size)
-        for i in range(0, where.size, rows):
-            part = where[i : i + rows]
-            m = np.multiply.outer(xs[part], neg_cu)
-            np.exp(m, out=m)
-            out[part] = m @ w.real + 1j * (m @ w.imag) if w.dtype == complex else m @ w
+    # past float64 range cosh(nu u) overflows and the sums turn inf or NaN: raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in (low + np.flatnonzero(np.bincount(expo - low))).tolist():
+            u, w = _k_grid(math.ldexp(0.5, e), nu)
+            neg_cu = -np.cosh(u)
+            where = np.flatnonzero(expo == e)
+            rows = max(1, _K_CHUNK // u.size)
+            for i in range(0, where.size, rows):
+                part = where[i : i + rows]
+                m = np.multiply.outer(xs[part], neg_cu)
+                np.exp(m, out=m)
+                out[part] = m @ w.real + 1j * (m @ w.imag) if w.dtype == complex else m @ w
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"float64 overflow in K_nu(x) at nu = {nu}, "
+                         f"x = {xs[~np.isfinite(out)].max():.3g}")
     return out

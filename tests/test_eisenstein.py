@@ -486,23 +486,36 @@ def test_h3_term_table_is_bitwise_the_per_element_sum(fresh_h3_tables, D):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_h3_field_tables_are_bounded_and_factor_each_element_once(monkeypatch, fresh_h3_tables):
-    """One entry per field, grown to the largest cap asked for; over several
-    caps and spectral parameters each element of Z[i] is factored once."""
-    calls = []
+def test_h3_field_tables_are_bounded_and_factor_no_element(monkeypatch, fresh_h3_tables):
+    """One entry per field, at the largest cap asked for; over several caps
+    and spectral parameters no element is factored, and a term table calls
+    `divisor_sigma` once per (norm, content) key, on distinct keys."""
+    factored, sigma_keys = [], []
     _ideal_factorization = eisenstein._ideal_factorization
+    _divisor_sigma = eisenstein.divisor_sigma
 
-    def counted(omega):
-        calls.append(omega)
+    def factor(omega):
+        factored.append(omega)
         return _ideal_factorization(omega)
 
-    monkeypatch.setattr(eisenstein, "_ideal_factorization", counted)
-    for s_key in ((0.0, 7.0), (0.5, 12.0)):
+    def sigma(field_, s, omega):
+        sigma_keys.append((s, omega.norm(), math.gcd(omega.u, omega.v)))
+        return _divisor_sigma(field_, s, omega)
+
+    monkeypatch.setattr(eisenstein, "_ideal_factorization", factor)
+    monkeypatch.setattr(eisenstein, "divisor_sigma", sigma)
+    keys = {(e.norm(), math.gcd(e.u, e.v)) for e in enumerate_by_norm(QI, 441)}
+    s_keys = ((0.0, 7.0), (0.5, 12.0))
+    for s_key in s_keys:
+        eisenstein._h3_term_table(QI, s_key, 441)
+    assert len(sigma_keys) == len(set(sigma_keys)) == len(s_keys) * len(keys)
+    assert {k[1:] for k in sigma_keys} == keys
+    for s_key in s_keys:
         for cap in (16, 25, 100, 441, 100):
             eisenstein._h3_term_table(QI, s_key, cap)
-    assert len(calls) == len(set(calls)) == len(enumerate_by_norm(QI, 441))
     for D in (-1, -3, -43, -3):
         eisenstein._h3_term_table(ImagQuadField(D), (0.0, 7.0), 49)
+    assert factored == []
     tables = eisenstein._H3_FIELD_TABLES
     assert sorted(f.D for f in tables) == [-43, -3, -1]
     assert [tables[ImagQuadField(D)][0] for D in (-1, -3, -43)] == [441, 49, 49]

@@ -65,7 +65,7 @@ def test_enumerate_sorted_and_unique():
 @pytest.mark.parametrize("D", ALL_D)
 def test_enumerate_matches_brute_force(D):
     """The array enumeration against every element of a box that holds the
-    ellipse, sorted by (norm, angle); a lower bound keeps a suffix of it."""
+    ellipse, sorted by (norm, angle)."""
     fld = ImagQuadField(D)
     for Nmax in (1, 2, 40, 441):
         box = range(-2 * math.isqrt(Nmax) - 2, 2 * math.isqrt(Nmax) + 3)
@@ -75,8 +75,6 @@ def test_enumerate_matches_brute_force(D):
         got = enumerate_by_norm(fld, Nmax)
         assert got == brute
         assert all(type(w.u) is int and type(w.v) is int for w in got)
-        assert enumerate_by_norm(fld, Nmax, Nmax // 2) == [
-            w for w in brute if w.norm() > Nmax // 2]
     with pytest.raises(ValueError):
         enumerate_by_norm(fld, 10**8)
 
@@ -155,6 +153,22 @@ def test_ideal_factorization_valuations_by_exact_division():
                     rest = rest.divide_exact(p)
                     assert rest is not None
                 assert rest.divide_exact(p) is None
+
+
+def test_norm_and_content_fix_the_factorization_pattern():
+    """(norm, content gcd(u, v)) keys and sorted (ideal norm, exponent)
+    patterns are in one-to-one correspondence, so a divisor sum keyed by
+    (norm, content) is the element's own."""
+    for D in ALL_D:
+        fld = ImagQuadField(D)
+        by_key, by_pattern = {}, {}
+        for w in enumerate_by_norm(fld, 1000):
+            key = (w.norm(), math.gcd(w.u, w.v))
+            pattern = tuple(sorted((q, e) for _, q, e in _ideal_factorization(w)))
+            by_key.setdefault(key, set()).add(pattern)
+            by_pattern.setdefault(pattern, set()).add(key)
+        assert all(len(v) == 1 for v in by_key.values()), D
+        assert all(len(v) == 1 for v in by_pattern.values()), D
 
 
 def test_divisor_sigma_multiplicative_on_coprime_pairs():

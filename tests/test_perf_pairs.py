@@ -46,6 +46,25 @@ def test_summary_counts_wins_and_applies_the_gain_rule():
                                     bound=0.1)["regressed"]
 
 
+def test_spread_past_the_bound_is_unresolved():
+    """Parent quartiles 1.025 and 1.275 around a median of 1.15: a spread of
+    0.25 / 1.15 = 0.217, past a bound of 0.2 and inside one of 0.25."""
+    parent = [1.0, 1.2, 1.1, 1.3, 1.0, 1.4, 1.2, 1.1, 1.0, 1.3]
+    same = perf_pairs.summarize(parent, parent, bound=0.2)
+    assert same["unresolved"] and not same["regressed"]
+    assert not perf_pairs.summarize(parent, parent, bound=0.25)["unresolved"]
+    assert not perf_pairs.summarize(parent, parent)["unresolved"]
+    # every change run beats every parent run: resolved whatever the spread;
+    # one change run level with the fastest parent run is not enough
+    assert not perf_pairs.summarize(parent, [0.9] * 10, bound=0.2)["unresolved"]
+    assert perf_pairs.summarize(parent, [0.9] * 9 + [1.0], bound=0.2)["unresolved"]
+    # higher is better: every change run above every parent run
+    assert not perf_pairs.summarize(parent, [1.5] * 10, lower_is_better=False,
+                                    bound=0.2)["unresolved"]
+    assert perf_pairs.summarize(parent, [0.9] * 10, lower_is_better=False,
+                                bound=0.2)["unresolved"]
+
+
 def test_one_block_per_workload_with_the_regression_rule(tmp_path, monkeypatch, capsys):
     """Several workloads run in turn, each with its own summary block, and a
     metric whose median is worse than the BENCHMARK.json bound reads
@@ -75,4 +94,4 @@ def test_one_block_per_workload_with_the_regression_rule(tmp_path, monkeypatch, 
     b = next(b for b in blocks if b.startswith("b, 2 pairs"))
     assert "regressed no" in a and "regressed yes" not in a
     wall_b = next(line for line in b.splitlines() if "wall_s" in line)
-    assert wall_b.endswith("regressed yes")
+    assert "regressed yes" in wall_b and wall_b.endswith("unresolved no")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -233,3 +234,13 @@ def test_bessel_k_domain():
     with pytest.raises(ValueError, match="too small for K"):
         _k_at(1j, sys.float_info.min)
     assert cmath.isfinite(_k_at(1j, 1e-300))
+    # where K itself leaves float64 range (|K| near 1e901 and 1e751) the call
+    # raises, with no overflow warning on the way; a large finite K does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu, x in ((3 + 2j, 1e-300), (5.0, 1e-150)):
+            with pytest.raises(ValueError, match="float64 overflow"):
+                _k_at(nu, x)
+            with pytest.raises(ValueError, match="float64 overflow"):
+                bessel_K_many(nu, np.array([1.0, x, 2.0]))
+        assert cmath.isfinite(_k_at(0.4 + 30j, 1e-200))
