@@ -32,7 +32,8 @@ from importlib import resources
 from .eisenstein import EisensteinH2, EisensteinH3, lower_bound_avg
 from .geometry import GeodesicBall, HeegnerPoint, PointH2, PointH3
 from .lattice import ImagQuadField
-from .mass import H2_MAIN_TERM, MAX_BALL_NODES, MAX_GRID_POINTS, ball_mass, variance_window
+from .mass import (H2_MAIN_TERM, MAX_BALL_NODES, MAX_GRID_POINTS, _spectral_s, ball_mass,
+                   variance_window)
 from .selberg import BallKernel, amplitude_in_range, h_char, h_closed_h3
 from .zeta import MAX_MOMENT_T, zeta_moment
 
@@ -348,8 +349,7 @@ def _compute_row_inner(config: ExperimentConfig, evaluator, index: int,
         return ResultRow(t=t, R=0.0, raw_mass=raw)
 
     if kind == "eval":
-        s = complex(0.5, t) if dim == 2 else complex(1.0, t)
-        val = evaluator.value(config.center, s)
+        val = evaluator.value(config.center, _spectral_s(dim, t))
         return ResultRow(t=t, R=0.0, raw_mass=abs(val) ** 2)
 
     R = config.radius_for(t)

@@ -653,17 +653,10 @@ class EisensteinH3(_FourierSeries):
 
 
 def _not_divisible(du: np.ndarray, dv: np.ndarray, p: AlgebraicInt) -> np.ndarray:
-    """Mask of grid elements d = du + dv*omega with p not dividing d."""
-    f = p.field
-    pc = p.conj()
-    n = p.norm()
-    if f.half_basis:
-        num_u = du * pc.u + dv * pc.v * ((f.D - 1) // 4)
-        num_v = du * pc.v + dv * pc.u + dv * pc.v
-    else:
-        num_u = du * pc.u + f.D * dv * pc.v
-        num_v = du * pc.v + dv * pc.u
-    return (num_u % n != 0) | (num_v % n != 0)
+    """Mask of grid elements d = du + dv*omega with p not dividing d, read off
+    d * conj(p), formed by the ring's product on the coordinate arrays."""
+    num, n = AlgebraicInt(p.field, du, dv) * p.conj(), p.norm()
+    return (num.u % n != 0) | (num.v % n != 0)
 
 
 def eis_h3_coset(P: PointH3, S: complex, field_: ImagQuadField, cap: int = 40) -> complex:

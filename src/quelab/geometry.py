@@ -1,4 +1,4 @@
-"""Upper-half-space models of H^2, H^3 and H^n.
+"""Upper-half-space models of H^2 and H^3.
 
 Points carry dimensionless hyperbolic coordinates with positive height.
 Balls are geodesic; integration uses geodesic polar coordinates with the
@@ -77,19 +77,18 @@ class Mobius3:
 @dataclass(frozen=True)
 class GeodesicBall:
     dimension: int
-    center: Point | None
+    center: Point
     radius: float
 
     def __post_init__(self) -> None:
-        if self.dimension < 2:
-            raise ValueError("dimension must be >= 2")
+        if self.dimension not in (2, 3):
+            raise ValueError("dimension must be 2 or 3")
         if self.radius < _MIN_RADIUS:
             raise ValueError(f"degenerate ball: radius < {_MIN_RADIUS}")
         if self.dimension == 2 and not isinstance(self.center, PointH2):
             raise ValueError("dimension-2 ball needs a PointH2 center")
         if self.dimension == 3 and not isinstance(self.center, PointH3):
             raise ValueError("dimension-3 ball needs a PointH3 center")
-        # n >= 4: only radial integration is ever needed; center stays None.
 
 
 @dataclass(frozen=True)
@@ -135,23 +134,15 @@ def distance(n: int, P: Point, Q: Point) -> float:
     raise ValueError("distance defined for n in {2, 3} only")
 
 
-def _sphere_area(n: int) -> float:
-    # Area of S^{n-1}.
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
 def ball_volume(n: int, R: float) -> float:
-    """Volume of a geodesic R-ball in H^n."""
+    """Volume of a geodesic R-ball in H^n, n in {2, 3}."""
     if R <= 0.0:
         raise ValueError("radius must be positive")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
     if n == 2:
         return 2.0 * math.pi * (math.cosh(R) - 1.0)
     if n == 3:
         return math.pi * (math.sinh(2.0 * R) - 2.0 * R)
-    u, w = gl_nodes(0.0, R, 64)
-    return _sphere_area(n) * float(np.sinh(u) ** (n - 1) @ w)
+    raise ValueError("ball volume defined for n in {2, 3} only")
 
 
 def apply_mobius(M: Mobius3, P: PointH3) -> PointH3:
@@ -223,8 +214,6 @@ def sample_ball(ball: GeodesicBall, seed: int, count: int) -> list[Point]:
     """i.i.d. points uniform w.r.t. hyperbolic volume in the ball; deterministic."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if ball.dimension not in (2, 3):
-        raise ValueError("sampling implemented for n in {2, 3}")
     if count == 0:
         return []
     rng = np.random.default_rng(seed)
@@ -243,8 +232,6 @@ def ball_nodes(ball: GeodesicBall, order: int = 32) -> tuple[np.ndarray, ...]:
     weights as flat arrays, radius outermost and azimuth innermost, with
     order nodes per polar coordinate.
     """
-    if ball.dimension not in (2, 3):
-        raise ValueError("quadrature implemented for n in {2, 3}")
     if order < 2:
         raise ValueError("order must be >= 2")
     rho, w_rho = gl_nodes(0.0, ball.radius, order)

@@ -102,9 +102,6 @@ class AlgebraicInt:
     def __neg__(self) -> "AlgebraicInt":
         return AlgebraicInt(self.field, -self.u, -self.v)
 
-    def __add__(self, other: "AlgebraicInt") -> "AlgebraicInt":
-        return AlgebraicInt(self.field, self.u + other.u, self.v + other.v)
-
     def __mul__(self, other: "AlgebraicInt") -> "AlgebraicInt":
         if self.field != other.field:
             raise ValueError("mixed fields")
@@ -147,9 +144,6 @@ class BinaryQuadraticForm:
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def __call__(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
 
 
 def _coordinates(field: ImagQuadField, Nmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import panel_nodes
-from .geometry import ball_quadrature
+from .geometry import ball_quadrature, ball_volume
 from .specfun import bessel_J
 
 __all__ = [
@@ -121,7 +121,7 @@ def h_closed_h3(R: float, t) -> complex:
     if not R > 0.0:
         raise ValueError("radius must be positive")
     tv = complex(t)
-    vol = math.pi * (math.sinh(2.0 * R) - 2.0 * R)
+    vol = ball_volume(3, R)
     cosh_R, sinh_R = math.cosh(R), math.sinh(R)
     if abs(tv) < 1e-3:
         c0 = R * cosh_R - sinh_R

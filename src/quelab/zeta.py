@@ -27,7 +27,7 @@ import numpy as np
 
 from ._quad import panel_nodes
 from . import _rs
-from .lattice import BinaryQuadraticForm, ImagQuadField, kronecker_chi
+from .lattice import BinaryQuadraticForm, ImagQuadField, _factor_int, kronecker_chi
 from .specfun import log_gamma
 
 __all__ = [
@@ -219,12 +219,7 @@ def riemann_zeta(s: complex) -> complex:
 
 
 def _squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return all(e == 1 for _, e in _factor_int(n))
 
 
 def _is_fundamental(d: int) -> bool:

@@ -388,17 +388,22 @@ def test_omega_scan_rows_match_standalone_calls(tmp_path):
 
 
 def test_moments_rows_match_standalone_calls():
-    config = ExperimentConfig(kind="moments", surface="h2", field_D=None,
-                              t_grid=(100.0, 200.0, 100.0), radius_rule="fixed",
-                              radius_value=1.0, center=None)
-    rows = run_experiment(config)
-    assert len(rows) == 2
-    for row in rows:
-        main_term = row.t * math.log(row.t) ** 4 / (2.0 * math.pi ** 2)
-        assert row.raw_mass == zeta_moment(2, row.t)
-        assert row.main_term == main_term
-        assert row.normalized_mass == row.raw_mass / main_term
-        assert row.deviation == row.normalized_mass - 1.0
+    # k = 2 fills the comparison with t log^4 t / (2 pi^2); k = 6 only raw_mass
+    for k in (2, 6):
+        config = ExperimentConfig(kind="moments", surface="h2", field_D=None,
+                                  t_grid=(100.0, 200.0, 100.0), radius_rule="fixed",
+                                  radius_value=1.0, center=None, moment_k=k)
+        rows = run_experiment(config)
+        assert len(rows) == 2
+        for row in rows:
+            assert row.raw_mass == zeta_moment(k, row.t)
+            if k == 6:
+                assert row == ResultRow(t=row.t, R=0.0, raw_mass=row.raw_mass)
+                continue
+            main_term = row.t * math.log(row.t) ** 4 / (2.0 * math.pi ** 2)
+            assert row.main_term == main_term
+            assert row.normalized_mass == row.raw_mass / main_term
+            assert row.deviation == row.normalized_mass - 1.0
 
 
 def test_selberg_check_rows_agree_with_closed_form():

@@ -165,21 +165,33 @@ def test_h3_coset_builds_each_prime_mask_once(monkeypatch):
     assert len(calls) == len(set(calls)) and set(calls) == primes
 
 
-def test_h3_fourier_vs_coset_real_s():
-    """Two-route agreement on the real axis where the sum converges.
+def _coset_gap(P: PointH3, S: complex, field_: ImagQuadField, cap: int) -> float:
+    """|E_inf by the Fourier route - the coset sum at caps cap and 2 cap|.
 
     The coset sum truncated at |c|, |d| <= cap carries a tail proportional
     to cap^{4-2S}; one extrapolation step with the known exponent removes it.
     """
+    fourier = EisensteinH3(field=field_).value(P, S) * 2 / field_.unit_count
+    lo, hi = (eis_h3_coset(P, S, field_, cap=c) for c in (cap, 2 * cap))
+    return abs(hi + (hi - lo) / (2.0 ** (2.0 * S - 4.0) - 1.0) - fourier)
+
+
+def test_h3_fourier_vs_coset_real_s():
+    """Two-route agreement on the real axis where the sum converges: on Z[i],
+    the Eisenstein order (six units, half basis), D = -7 (two units, half
+    basis) and D = -2 (two units)."""
     P = PointH3(0.3 + 0.2j, 1.1)
-    ev = EisensteinH3(field=QI)
-    for S in (2.2, 3.0):
-        fourier = (ev.value(P, S) * 2 / QI.unit_count).real
-        c40 = eis_h3_coset(P, S, QI, cap=40).real
-        c80 = eis_h3_coset(P, S, QI, cap=80).real
-        alpha = 2.0 * S - 4.0
-        accel = c80 + (c80 - c40) / (2.0**alpha - 1.0)
-        assert abs(accel - fourier) <= 1e-4, (S, abs(accel - fourier))
+    for D, S, cap in ((-1, 2.2, 40), (-1, 3.0, 40), (-3, 3.0, 20), (-7, 3.0, 20),
+                      (-2, 3.0, 20)):
+        gap = _coset_gap(P, S, ImagQuadField(D), cap)
+        assert gap <= 1e-4, (D, S, gap)
+
+
+def test_h3_fourier_vs_coset_complex_s():
+    """The same two routes off the real axis, extrapolated with the complex
+    exponent 2S - 4."""
+    gap = _coset_gap(PointH3(0.3 + 0.2j, 1.1), 3.0 + 2.0j, ImagQuadField(-7), 20)
+    assert gap <= 1e-4, gap
 
 
 def test_h3_cap_doubling_below_tail_bound():

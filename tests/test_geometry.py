@@ -66,6 +66,8 @@ def test_ball_volume_monotone_and_domain():
         ball_volume(2, 0.0)
     with pytest.raises(ValueError):
         ball_volume(1, 1.0)
+    with pytest.raises(ValueError):
+        ball_volume(4, 1.0)
 
 
 def test_ball_volume_h3_numeric_two_route():
@@ -231,6 +233,12 @@ def test_degenerate_ball_rejected():
         GeodesicBall(2, PointH2(0.0, 1.0), 1e-9)
     with pytest.raises(ValueError):
         GeodesicBall(3, PointH3(0j, 1.0), -0.5)
+
+
+@pytest.mark.parametrize("dim, center", [(1, PointH2(0.0, 1.0)), (4, PointH3(0j, 1.0))])
+def test_ball_dimension_is_two_or_three(dim, center):
+    with pytest.raises(ValueError, match="dimension must be 2 or 3"):
+        GeodesicBall(dim, center, 0.5)
 
 
 def test_point_validation():

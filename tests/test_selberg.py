@@ -52,6 +52,14 @@ def test_h3_routes_agree_on_grid():
             assert abs(h_char(k, float(t)) - h_closed_h3(R, float(t))) <= 1e-8
 
 
+def test_h3_routes_agree_at_complex_t():
+    for R in (0.05, 0.3, 1.0, 2.0):
+        k = BallKernel(3, R)
+        for t in (0.5j, 0.3 + 0.4j, 2.0 + 0.2j, 7.0 - 0.9j, 15.0 + 0.5j):
+            closed = h_closed_h3(R, t)
+            assert abs(h_char(k, t) - closed) <= 1e-11 * abs(closed), (R, t)
+
+
 # R*t from the smooth range across the old Filon switch (R*t = 50) to 1500
 _RT = (5.0, 60.0, 300.0, 1500.0)
 

@@ -97,6 +97,16 @@ def test_bessel_j_envelope():
         assert abs(bessel_J(1.5, float(x))) <= math.sqrt(2.0 / (math.pi * x)) * (1.0 + 2.0 / x)
 
 
+def test_bessel_j_hankel_branch_matches_mpmath():
+    # integer orders at x >= 12 take Hankel's expansion
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for nu in (1, 2, 3):
+            for x in np.geomspace(12.0, 1500.0, 40):
+                want = float(mpmath.besselj(nu, float(x)))
+                assert abs(bessel_J(nu, float(x)) - want) <= 5e-12, (nu, x)
+
+
 def test_bessel_j_order_guard():
     with pytest.raises(ValueError):
         bessel_J(0.7, 1.0)
