@@ -519,20 +519,28 @@ def _reduce_h3(field_: ImagQuadField, zs: np.ndarray,
     raise ValueError("fundamental-domain reduction did not terminate")
 
 
+def _upper_half(u, v):
+    """Whether u + v omega_0 lies in the angles [0, pi), which hold one of each
+    pair omega, -omega; u and v are ints or integer arrays."""
+    return (v > 0) | ((v == 0) & (u > 0))
+
+
 def _in_sector(w: AlgebraicInt) -> bool:
     """One representative per unit class: the sector [0, 2 pi / w_units)."""
     units = w.field.unit_count
     if units == 2:
-        return w.v > 0 or (w.v == 0 and w.u > 0)
+        return _upper_half(w.u, w.v)
     # both Z[i] and the Eisenstein order: u > 0, v >= 0 picks the sector
     return w.u > 0 and w.v >= 0
 
 
-# Per field, at the largest cap asked for: (cap, omega values, norms, key index of
-# each omega, one omega per key), by (norm, angle); keys sort by norm first.  With
-# class number one the key (norm, content gcd(u, v)) fixes the prime-ideal exponents
-# of (omega) (Cohen, GTM 138, ch. 5): at a split p they add to v_p(N), the smaller
-# being v_p(content); an inert p has v_p(N) / 2, a ramified p v_p(N).
+# Per field, at the largest cap asked for: (cap, u, v, norms, key index of each
+# omega, one omega per key) of the omega = u + v omega_0 in `_upper_half`, by
+# (norm, angle); keys sort by norm first.  -1 is a unit, so -omega has omega's
+# key and the series sums one omega of each pair.  With class number one
+# the key (norm, content gcd(u, v)) fixes the prime-ideal exponents of (omega)
+# (Cohen, GTM 138, ch. 5): at a split p they add to v_p(N), the smaller being
+# v_p(content); an inert p has v_p(N) / 2, a ramified p v_p(N).
 _H3_FIELD_TABLES: dict[ImagQuadField, tuple] = {}
 
 
@@ -541,26 +549,40 @@ def _h3_field_table(field_: ImagQuadField, cap: int) -> tuple:
     table = _H3_FIELD_TABLES.get(field_)
     if table is None or table[0] < cap:
         u, v, norms = _coordinates(field_, cap)
+        half = _upper_half(u, v)
+        u, v, norms = u[half], v[half], norms[half]
         _, first, keys = np.unique(norms * (cap + 1) + np.gcd(u, v),
                                    return_index=True, return_inverse=True)
         reps = [field_.element(a, b) for a, b in zip(u[first].tolist(), v[first].tolist())]
-        table = _H3_FIELD_TABLES[field_] = (cap, u + v * field_.omega, norms, keys, reps)
+        table = _H3_FIELD_TABLES[field_] = (cap, u, v, norms, keys, reps)
     return table
 
 
 @lru_cache(maxsize=64)
 def _h3_term_table(field_: ImagQuadField, s_key: tuple[float, float], cap: int):
-    """(omega, |omega|^s sigma_{-s}(omega), distinct norms, index of each omega's
-    norm) for norm(omega) <= cap, sorted by (norm, angle): a smaller cap's is a
-    prefix.  sigma_{-s} is bitwise a function of the (norm, content) key, so
+    """(u, v, |omega|^s sigma_{-s}(omega), distinct norms, index of each omega's
+    norm) for the half of the omega = u + v omega_0 with norm(omega) <= cap in the
+    field table, sorted by (norm, angle): a smaller cap's is a prefix.
+    sigma_{-s} is bitwise a function of the (norm, content) key, so
     `divisor_sigma` runs once per key, on its first omega, and factors no other."""
     s = complex(*s_key)
-    _, zvals, norms, keys, reps = _h3_field_table(field_, cap)
+    _, u, v, norms, keys, reps = _h3_field_table(field_, cap)
     n = int(np.searchsorted(norms, cap, side="right"))
     sig = np.array([divisor_sigma(field_, -s, e) for e in reps[:keys[:n].max() + 1]])
     norms, inverse = np.unique(norms[:n], return_inverse=True)
     coeff = sig[keys[:n]] * np.exp(s * np.log(np.sqrt(norms[inverse].astype(float))))
-    return zvals[:n], coeff, norms, inverse
+    return u[:n], v[:n], coeff, norms, inverse
+
+
+def _h3_powers(field_: ImagQuadField, z: np.ndarray, u: np.ndarray,
+               v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, a^k for u.min() <= k <= u.max() and b^k for 0 <= k <= v.max(), where
+    e(<omega, z>) = e^{-i kappa Im(omega z)} = a^u b^v at omega = u + v omega_0:
+    a = e^{-i kappa Im z}, b = e^{-i kappa Im(omega_0 z)}, kappa = 4 pi / sqrt|d_K|."""
+    kappa = 4.0 * math.pi / math.sqrt(abs(field_.discriminant))
+    a = np.exp(-1j * kappa * np.outer(z.imag, np.arange(u.min(), u.max() + 1)))
+    b = np.exp(-1j * kappa * np.outer((field_.omega * z).imag, np.arange(v.max() + 1)))
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -636,18 +658,20 @@ class EisensteinH3(_FourierSeries):
             # one term table at the largest cap; each node keeps the distinct norms
             # up to its own cap, masked out of the block's K call and its sum
             caps = self.cap_for(r, s.imag)
-            zvals, coeff, norms, inverse = _h3_term_table(self.field, (s.real, s.imag),
-                                                          int(caps.max()))
+            u, v, coeff, norms, inverse = _h3_term_table(self.field, (s.real, s.imag),
+                                                         int(caps.max()))
             counts = np.searchsorted(norms, caps, side="right")
             freqs = (4.0 * math.pi / math.sqrt(dk)) * np.sqrt(norms.astype(float))
+            # the table keeps one omega of each pair +-omega, which share a coefficient;
+            # -omega adds the conjugate phase, so a pair weighs 2 Re(a^u b^v)
+            a, b = _h3_powers(self.field, z, u, v)
+            u = u - u.min()
             series = np.empty(z.size, dtype=complex)
             for block, n, kvals in _k_blocks(s, table, freqs, r, counts):
                 m = int(np.searchsorted(inverse, n))
-                theta = (-4.0 * math.pi / math.sqrt(dk)) * (
-                    zvals[:m].real * z[block, None].imag + zvals[:m].imag * z[block, None].real)
-                series[block] = np.sum(coeff[:m] * kvals[:, inverse[:m]] * np.exp(1j * theta),
-                                       axis=1)
-            return (const + pref * r * series) * (self.field.unit_count / 2.0)
+                phase = (a[block][:, u[:m]] * b[block][:, v[:m]]).real
+                series[block] = np.sum(coeff[:m] * kvals[:, inverse[:m]] * phase, axis=1)
+            return (const + 2.0 * pref * r * series) * (self.field.unit_count / 2.0)
 
         return SeriesPlan(values)
 

@@ -64,17 +64,6 @@ class ImagQuadField:
     def element(self, u: int, v: int) -> "AlgebraicInt":
         return AlgebraicInt(self, u, v)
 
-    def units(self) -> list["AlgebraicInt"]:
-        one = self.element(1, 0)
-        if self.D == -1:
-            i = self.element(0, 1)
-            return [one, i, -one, -i]
-        if self.D == -3:
-            w = self.element(0, 1)  # primitive 6th root of unity
-            ws = w * w
-            return [one, w, ws, -one, -w, -ws]
-        return [one, -one]
-
 
 @dataclass(frozen=True)
 class AlgebraicInt:
@@ -98,9 +87,6 @@ class AlgebraicInt:
 
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
-
-    def __neg__(self) -> "AlgebraicInt":
-        return AlgebraicInt(self.field, -self.u, -self.v)
 
     def __mul__(self, other: "AlgebraicInt") -> "AlgebraicInt":
         if self.field != other.field:

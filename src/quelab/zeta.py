@@ -259,8 +259,10 @@ def dirichlet_L(s, d_K: int):
     return complex(val) if val.ndim == 0 else val
 
 
+@lru_cache(maxsize=256)
 def dedekind_zeta(field_: ImagQuadField, s: complex) -> complex:
-    """zeta_K = zeta(s) L(s, chi_{d_K}) for the imaginary quadratic field."""
+    """zeta_K = zeta(s) L(s, chi_{d_K}) for the imaginary quadratic field; cached, since
+    an H^3 plan needs zeta_K(1 + s) twice and every H^3 ball mass needs zeta_K(2)."""
     return riemann_zeta(s) * dirichlet_L(s, field_.discriminant)
 
 

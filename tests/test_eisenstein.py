@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -24,9 +25,11 @@ from quelab.eisenstein import (
     _reduce_h3,
 )
 from quelab.lattice import ImagQuadField, divisor_sigma, enumerate_by_norm
-from quelab.zeta import dirichlet_L, riemann_zeta
+from quelab.specfun import log_gamma
+from quelab.zeta import dedekind_zeta, dirichlet_L, riemann_zeta, scattering_phi_K
 
 QI = ImagQuadField(-1)
+NINE_FIELDS = [-1, -2, -3, -7, -11, -19, -43, -67, -163]
 
 # frozen regression values
 E_AT_I_2 = 2.7842015453307912
@@ -405,7 +408,7 @@ def test_block_values_do_not_depend_on_block_size(monkeypatch, ev, center, t):
     if isinstance(ev, EisensteinH2):
         per_node = truncation.tolist()
     else:
-        per_node = [eisenstein._h3_term_table(ev.field, (s.real, s.imag), cap)[2].size
+        per_node = [eisenstein._h3_term_table(ev.field, (s.real, s.imag), cap)[3].size
                     for cap in truncation.tolist()]
     calls = []
     _k_scaled = eisenstein._k_scaled
@@ -471,17 +474,27 @@ def fresh_h3_tables(monkeypatch):
     eisenstein._h3_term_table.cache_clear()
 
 
-def _term_table_reference(field_, s, cap):
-    """The term table built element by element over `enumerate_by_norm`."""
-    els = enumerate_by_norm(field_, cap)
+def _coefficients(field_, s, els):
+    """|omega|^s sigma_{-s}(omega) of each element, one `divisor_sigma` call each."""
     sigma = np.array([divisor_sigma(field_, -s, e) for e in els])
     norms = np.array([e.norm() for e in els])
-    coeff = sigma * np.exp(s * np.log(np.sqrt(norms.astype(float))))
-    return (np.array([e.to_complex() for e in els]), coeff,
+    return sigma * np.exp(s * np.log(np.sqrt(norms.astype(float)))), norms
+
+
+def _in_half(e) -> bool:
+    return e.v > 0 or (e.v == 0 and e.u > 0)
+
+
+def _term_table_reference(field_, s, cap):
+    """The term table built element by element over `enumerate_by_norm`, on the
+    half v > 0, or v = 0 and u > 0."""
+    els = [e for e in enumerate_by_norm(field_, cap) if _in_half(e)]
+    coeff, norms = _coefficients(field_, s, els)
+    return (np.array([e.u for e in els]), np.array([e.v for e in els]), coeff,
             *np.unique(norms, return_inverse=True))
 
 
-@pytest.mark.parametrize("D", [-1, -2, -3, -7, -11, -19, -43, -67, -163])
+@pytest.mark.parametrize("D", NINE_FIELDS)
 def test_h3_term_table_is_bitwise_the_per_element_sum(fresh_h3_tables, D):
     """Caps asked in increasing, decreasing and random order, from empty
     tables each time: no value depends on which caps came first."""
@@ -496,6 +509,98 @@ def test_h3_term_table_is_bitwise_the_per_element_sum(fresh_h3_tables, D):
                 got = eisenstein._h3_term_table(field_, (s.real, s.imag), cap)
                 for a, b in zip(got, want[cap]):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("D", NINE_FIELDS)
+def test_h3_term_table_keeps_one_omega_of_each_pair(fresh_h3_tables, D):
+    """The series sums omega and -omega as one term of weight 2 cos theta.  That
+    needs the enumeration closed under omega -> -omega, bitwise equal
+    coefficients on each pair, and exactly one of each pair in the term table."""
+    field_ = ImagQuadField(D)
+    els = enumerate_by_norm(field_, 441)
+    index = {(e.u, e.v): k for k, e in enumerate(els)}
+    partner = np.array([index[(-e.u, -e.v)] for e in els])
+    assert len(index) == len(els) and sorted(partner.tolist()) == list(range(len(els)))
+    for s in (complex(0.5, 0.0), complex(0.0, 7.0), complex(-0.2, 100.0)):
+        coeff, _ = _coefficients(field_, s, els)
+        assert coeff.tobytes() == coeff[partner].tobytes()
+        u, v, *_ = eisenstein._h3_term_table(field_, (s.real, s.imag), 441)
+        kept = set(zip(u.tolist(), v.tolist()))
+        assert len(kept) == u.size == len(els) // 2
+        assert all(((e.u, e.v) in kept) != ((-e.u, -e.v) in kept) for e in els)
+
+
+def _reduced_nodes(field_, count, rng):
+    """Random points z + r j with r in [1, 2], reduced into the fundamental domain."""
+    z = rng.uniform(-0.5, 0.5, count) + rng.uniform(-0.5, 0.5, count) * field_.omega
+    return _reduce_h3(field_, z, rng.uniform(1.0, 2.0, count))
+
+
+@pytest.mark.parametrize("D", NINE_FIELDS)
+def test_h3_paired_plane_waves_match_the_full_lattice_sum(D):
+    """plan(1 + s).values against the expansion summed over the whole lattice,
+    sum of coeff K e^{i theta}, theta = -kappa Im(omega z), with no pairing and
+    one complex exponential per term, within 1e-13 of the sum of |terms| plus
+    four ulps of E for adding the constant term.  K, the constant term and the
+    prefactor are formed as the plan forms them, K in one call over the nodes'
+    distinct norms up to the cap: on the cosh route its rounding depends on
+    the batch, and one batch for all caps moved the sum by up to 3e-13 of the
+    sum of |terms| (s = 7i, D = -67)."""
+    field_ = ImagQuadField(D)
+    dk = abs(field_.discriminant)
+    kappa = 4.0 * math.pi / math.sqrt(dk)
+    z, r = _reduced_nodes(field_, 6, np.random.default_rng(-D))
+    els = enumerate_by_norm(field_, 441)
+    omegas = np.array([e.to_complex() for e in els])
+    waves = np.exp(-1j * kappa * (np.outer(z.imag, omegas.real) + np.outer(z.real, omegas.imag)))
+    for s in (complex(0.5, 0.0), complex(0.0, 7.0), complex(-0.2, 100.0), complex(0.3, 9.0)):
+        coeff, norms = _coefficients(field_, s, els)
+        distinct, inverse = np.unique(norms, return_inverse=True)
+        freqs = kappa * np.sqrt(distinct.astype(float))
+        table = _KTable(s)
+        pref = 2.0 * cmath.exp((1.0 + s) * math.log(2.0 * math.pi) - 0.5 * (1.0 + s) * math.log(dk)
+                               - log_gamma(1.0 + s) - eisenstein._k_shift(s))
+        pref = pref / dedekind_zeta(field_, 1.0 + s)
+        const = (np.exp((1.0 + s) * np.log(r))
+                 + scattering_phi_K(field_, s) * np.exp((1.0 - s) * np.log(r)))
+        half_w = field_.unit_count / 2.0
+        for cap in (1, 2, 25, 100, 441):
+            n = int(np.searchsorted(norms, cap, side="right"))
+            m = int(np.searchsorted(distinct, cap, side="right"))
+            kvals = eisenstein._k_scaled(s, (freqs[:m] * r[:, None]).ravel(), table)
+            terms = coeff[:n] * kvals.reshape(r.size, m)[:, inverse[:n]] * waves[:, :n]
+            want = (const + pref * r * terms.sum(axis=1)) * half_w
+            scale = abs(pref) * r * np.abs(terms).sum(axis=1) * half_w
+            got = EisensteinH3(field=field_, norm_cap=cap, abs_tol=0.999).plan(1.0 + s).values(z, r)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale + 4.0 * np.spacing(np.abs(want)))
+
+
+def test_h3_power_tables_match_mpmath_phases():
+    """a^u b^v from `_h3_powers` against e^{-i kappa Im(omega z)} at 30 digits,
+    over the half lattice at cap 441 of the nine fields and random reduced
+    nodes, in absolute error."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for D in NINE_FIELDS:
+        field_ = ImagQuadField(D)
+        els = [e for e in enumerate_by_norm(field_, 441) if _in_half(e)]
+        u, v = np.array([e.u for e in els]), np.array([e.v for e in els])
+        z, _ = _reduced_nodes(field_, 3, rng)
+        a, b = eisenstein._h3_powers(field_, z, u, v)
+        got = a[:, u - u.min()] * b[:, v]
+        with mpmath.workdps(30):
+            kappa = 4 * mpmath.pi / mpmath.sqrt(abs(field_.discriminant))
+            root = mpmath.sqrt(-D) if field_.half_basis else 2 * mpmath.sqrt(-D)
+            for i, zi in enumerate(z.tolist()):
+                x, y = mpmath.mpf(zi.real), mpmath.mpf(zi.imag)
+                # omega_0 = (h + root i) / 2 with h = 1 on the half basis, else 0
+                h = 1 if field_.half_basis else 0
+                for k, (ui, vi) in enumerate(zip(u.tolist(), v.tolist())):
+                    im = ui * y + vi * (h * y + root * x) / 2
+                    want = mpmath.expj(-kappa * im)
+                    worst = max(worst, abs(complex(want) - got[i, k]))
+    assert worst <= 5e-14
 
 
 def test_h3_field_tables_are_bounded_and_factor_no_element(monkeypatch, fresh_h3_tables):
