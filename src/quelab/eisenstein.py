@@ -85,22 +85,25 @@ TABLE_K_ARGS = 8192
 
 
 def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
-    """e^{pi |Im nu| / 2} K_nu(x) for an array of x > 0, |Re nu| < 1.
+    """e^{pi |Im nu| / 2} K_nu(x) for an array of x > 0, |Re nu| < 1, Im nu != 0.
 
     The sorted arguments are split into groups of at most one octave, a new
     group starting where x exceeds twice the group's smallest x, and each
-    group takes `_k_scaled_octave`.
+    group takes `_k_scaled_octave`; arguments where `_k_log_bound` is below
+    the chop get an exact 0.
     """
     nu = complex(nu)
     if nu.imag < 0.0:
         return np.conj(_k_scaled_batch(nu.conjugate(), xs))
-    if not abs(nu.real) < 1.0:
-        raise ValueError("balanced K route requires |Re nu| < 1")
+    if not (abs(nu.real) < 1.0 and nu.imag > 0.0):
+        raise ValueError("balanced K route requires |Re nu| < 1 and Im nu != 0")
     xs = np.asarray(xs, dtype=float)
     if xs.size and not xs.min() > 0.0:
         raise ValueError("arguments must be positive")
     out, order = np.zeros(xs.size, dtype=complex), np.argsort(xs, kind="stable")
     sx, start = xs[order], 0
+    # the bound falls in x: from the first argument it puts below the chop on, K stays 0
+    sx = sx[:np.count_nonzero(_k_log_bound(nu, sx) >= math.log(_CHEB_CHOP))]
     while start < sx.size:
         stop = int(np.searchsorted(sx, 2.0 * sx[start], side="right"))
         out[order[start:stop]] = _k_scaled_octave(nu, sx[start:stop])
@@ -109,7 +112,7 @@ def _k_scaled_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
 
 
 def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
-    """`_k_scaled_batch` on sorted x with x_max <= 2 x_min and Im nu >= 0, from
+    """`_k_scaled_batch` on sorted x with x_max <= 2 x_min and Im nu > 0, from
 
         K_nu(x) = sec(nu pi/2) int_0^inf cos(x v) cosh(nu asinh v) (1+v^2)^{-1/2} dv
 
@@ -119,18 +122,19 @@ def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
     sec factor carries the entire e^{-pi|Im nu|/2} smallness, so the returned
     values are free of exponential cancellation.
 
-    Core panels hold equal steps of the phase x_max v + |Im nu| asinh v, whose
-    rate bounds that of every oscillation in the integrand: 12 rad per
-    24-point panel, so they are short near v = 0, where the rate is x + |Im nu|,
-    and long where it has fallen to about x.  Tail panels grow with the decay.
+    The core runs in s = asinh v, where its integrand cos(x sinh s) cosh(nu s)
+    is entire (in v, (1+v^2)^{-1/2} is singular at v = +-i: 20 rad panels left
+    3.3e-10 at nu = 0.3 + 9.5i, x = 0.3).  Core panels take 24 points per 24 rad
+    of the phase x_max sinh s + |Im nu| s, whose rate bounds that of every
+    oscillation in the integrand; tail panels grow with the decay.
 
-    The error is absolute and is rounding: at most 1.9e-14 on the scaled
-    values against 30-digit mpmath for |Im nu| from 8 to 180, worst at
-    |Im nu| >= 60 with x near 1, where the phase |Im nu| asinh v of each node
-    carries about 1e-16 |Im nu| log(2 v0).  Past the turning point x = |Im nu|
-    the scaled K decays like e^{-x}, so the relative error there grows without
-    bound.  The Fourier series only needs the absolute error: on the critical
-    line the scaled K multiplies coefficients of modulus O(n^eps).
+    The error is absolute and is rounding: against 30-digit mpmath for |Im nu|
+    from 8 to 180, at most 1.4e-14 on the critical line at x >= 0.9, 3.4e-14
+    down to x = 0.1 and 1.5e-13 at Re nu = 0.3 or -0.4, worst at small x.
+    Past the turning point x = |Im nu| the scaled K decays like e^{-x}, so the
+    relative error there grows without bound.  The Fourier series only needs
+    the absolute error: on the critical line the scaled K multiplies
+    coefficients of modulus O(n^eps).
     """
     sig, tau, x_min, x_max = nu.real, nu.imag, float(xs[0]), float(xs[-1])
     v0 = 2.0 * max(1.0, tau / x_min)
@@ -139,20 +143,14 @@ def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
         raise ValueError("argument range too wide for the balanced K route")
     # edges at equal phase steps c: in s = asinh v the phase x_max sinh s + tau s
     # is convex, so Newton from the upper bound min(asinh(c / x_max), c / tau)
-    # descends monotonically; three steps put each panel within 20 % of 12 rad.
-    # 16 rad per panel leaves 4e-13 at tau = 8, x = 0.1, where few panels span v0
-    c = np.linspace(0.0, total_phase, int(total_phase / 12.0) + 2)
-    s = np.arcsinh(c / x_max)
-    if tau > 0.0:
-        s = np.minimum(s, c / tau)
+    # descends monotonically; three steps put all panels but the last within 20 % of 24 rad
+    c = np.linspace(0.0, total_phase, int(total_phase / 24.0) + 2)
+    s = np.minimum(np.arcsinh(c / x_max), c / tau)
     for _ in range(3):
         s -= (x_max * np.sinh(s) + tau * s - c) / (x_max * np.cosh(s) + tau)
-    edges = np.sinh(s)
-    edges[-1] = v0
-    v, wv = panel_nodes(edges, 24)
-    lw = np.arcsinh(v)
-    g = np.cosh(nu * lw) / np.sqrt(1.0 + v * v)
-    vals = _real_dot(np.cos(np.outer(xs, v)), wv * g)
+    s[-1] = math.asinh(v0)
+    sn, ws = panel_nodes(s, 24)
+    vals = _real_dot(np.cos(np.outer(xs, np.sinh(sn))), ws * np.cosh(nu * sn))
 
     # tail: |integrand| <= e^{-x u / 2} since tau / v0 <= x_min / 2; panels
     # grow with u at 40 % a step, held to 3.6 e-folds of the growing factor
@@ -162,7 +160,7 @@ def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
     while edges[-1] < u_end:
         u_here = edges[-1]
         len_decay = max(10.0 / x_max, 0.4 * u_here)
-        len_phase = 3.6 * (v0 * v0 + u_here * u_here) / (tau * v0) if tau > 0.0 else u_end
+        len_phase = 3.6 * (v0 * v0 + u_here * u_here) / (tau * v0)
         edges.append(u_here + min(len_decay, len_phase, 8.0))
         if len(edges) > 500:
             raise ValueError("tail panelling did not converge")
@@ -183,19 +181,35 @@ def _k_scaled_octave(nu: complex, xs: np.ndarray) -> np.ndarray:
     return sec_scaled * vals
 
 
+def _k_log_bound(nu: complex, xs):
+    """log of a bound on e^{pi tau / 2} |K_nu(x)|, tau = |Im nu|, falling in x; +inf
+    where there is none (x <= tau, or |Re nu| > 1/2).  On Im u = acos(xi / x),
+    xi = sqrt(x^2 - tau^2), K_nu(x) = (1/2) int e^{-x cosh u + nu u} du (DLMF
+    10.32.9) gives |K_nu(x)| <= e^{-tau acos(xi / x)} K_{Re nu}(xi), and
+    K_{Re nu}(xi) <= K_{1/2}(xi) = sqrt(pi / 2 xi) e^{-xi}."""
+    tau, xs = abs(nu.imag), np.asarray(xs, dtype=float)
+    if abs(nu.real) > 0.5:
+        return np.full(xs.shape, np.inf)
+    xi = np.sqrt(np.maximum(xs * xs - tau * tau, 0.0))
+    with np.errstate(divide="ignore"):
+        return tau * np.arccos(np.minimum(1.0, tau / xs)) + 0.5 * np.log(0.5 * math.pi / xi) - xi
+
+
 def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for a real matrix a and a complex vector b, without a complex copy of a."""
     return a @ b.real + 1j * (a @ b.imag)
 
 
 def _k_shift(nu: complex) -> float:
-    """Exponent of the scale e^{shift} that `_k_scaled` puts on K_nu.
-
-    pi |Im nu| / 2 on the balanced route (|Im nu| >= 8, |Re nu| < 1), else 0.
-    """
-    if abs(nu.imag) >= _IMAG_ORDER_SWITCH and abs(nu.real) < 1.0:
-        return 0.5 * math.pi * abs(nu.imag)
-    return 0.0
+    """Exponent of the scale e^{shift} that `_k_scaled` puts on K_nu: pi |Im nu| / 2
+    on the balanced route (|Im nu| >= 8), else 0.  A plan calls it once; it raises
+    where |Re nu| >= 1 too, where the cosh integral cancels (E at s = 2 + 30i on
+    H^2 was off by 0.99, at S = 3 + 30i on Z[i] by 3e-3)."""
+    if abs(nu.imag) < _IMAG_ORDER_SWITCH:
+        return 0.0
+    if not abs(nu.real) < 1.0:
+        raise ValueError(f"K_nu out of reach at nu = {nu}: |Im nu| >= 8 needs |Re nu| < 1")
+    return 0.5 * math.pi * abs(nu.imag)
 
 
 def _k_scaled(nu: complex, xs: np.ndarray, table: _KTable | None = None) -> np.ndarray:
@@ -248,8 +262,8 @@ class _KTable:
     A level is taken once at least its last eighth of coefficients is
     chopped and its two check points agree with the direct values within
     1e-14 absolute; a panel that no level passes keeps no coefficients, and
-    `_k_scaled_batch` serves the arguments in it.  A panel where the scaled
-    bound |K_nu(x)| <= K_{1/2}(x) = sqrt(pi / 2x) e^{-x} (|Re nu| <= 1/2) is
+    `_k_scaled_batch` serves the arguments in it.  A panel where the
+    saddle-point bound `_k_log_bound` (|Re nu| <= 1/2), which falls in x, is
     below the chop at x = 2^j is one zero coefficient, with no direct call.
     Coefficients depend only on (nu, j), so a value never depends on which
     arguments came first.
@@ -261,8 +275,7 @@ class _KTable:
 
     def _fill(self, j: int) -> np.ndarray:
         x0 = math.ldexp(1.0, j)
-        log_bound = 0.5 * math.pi * abs(self.nu.imag) - x0 + 0.5 * math.log(0.5 * math.pi / x0)
-        if abs(self.nu.real) <= 0.5 and log_bound < math.log(_CHEB_CHOP):
+        if _k_log_bound(self.nu, x0) < math.log(_CHEB_CHOP):
             return self._panels.setdefault(j, np.zeros(1, dtype=complex))
         xs = 0.5 * x0 * (3.0 + _CHEB_U)
         vals = np.full(xs.size, np.nan, dtype=complex)

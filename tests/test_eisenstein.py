@@ -220,6 +220,26 @@ def test_h3_guards():
         EisensteinH3(field=QI, norm_cap=2)
 
 
+def test_series_refuse_orders_no_k_route_serves():
+    """|Im nu| >= 8 with |Re nu| >= 1 is neither route's: the cosh integral
+    cancels there, and left E at s = 2 + 30i off by 0.99 and at 1.6 + 40i by
+    2.2e7 (H^2, z = i, against the form-zeta route), and at S = 3 + 30i off
+    the coset sum by 3e-3 (Z[i]).  Below the switch the digits stay."""
+    for s in (1.6 + 40j, 2.0 + 30j):
+        with pytest.raises(ValueError, match="out of reach"):
+            EisensteinH2().value(PointH2(0.0, 1.0), s)
+        with pytest.raises(ValueError, match="out of reach"):
+            EisensteinH2().plan(s)
+    with pytest.raises(ValueError, match="out of reach"):
+        EisensteinH3(field=QI).value(PointH3(0.3 + 0.2j, 1.1), 3.0 + 30j)
+    for nu in (1.0 + 20j, 0.5):
+        with pytest.raises(ValueError, match="balanced K route requires"):
+            _k_scaled_batch(nu, np.ones(3))
+    s = 2.0 + 5j
+    want = eis_h2_heegner(HeegnerPoint(1, 0, 1), s)
+    assert abs(EisensteinH2().value(PointH2(0.0, 1.0), s) - want) <= 1e-12
+
+
 @pytest.mark.parametrize("dim, center, t", [
     (2, PointH2(0.1, 1.2), 8.5),
     (2, PointH2(-0.37, 0.95), 12.0),
@@ -302,17 +322,20 @@ def test_cheb_eval_matches_cosine_sum(size):
 
 @pytest.mark.parametrize("tau", [8.0, 12.5, 26.0, 40.0, 100.0, 180.0])
 def test_k_table_zero_panels_lie_below_the_chop(tau):
-    """A panel the K_{1/2} bound zeroes starts past the turning point x = tau,
-    where |K_{i tau}(x)| decreases, so the 30-digit scaled K at its left end
-    bounds it: that is below the chop.  The direct route, whose noise there
-    reaches 1e-14, stays within the table tolerance of zero.  At tau = 26 the
-    bound at x = 64 is within e^10 of the chop, and the scaled K is 6.7e-14."""
+    """The zero panels are exactly those whose left end the saddle-point bound
+    `_k_log_bound` puts below the chop.  Such a panel starts past the turning
+    point x = tau, where |K_{i tau}(x)| decreases, so the 30-digit scaled K at
+    its left end bounds it: that is below the chop.  The direct route leaves
+    the same arguments at zero.  At tau = 26 the bound at x = 64 is e^3.3 above
+    the chop, so [64, 128] is filled, and the scaled K there is 6.7e-14."""
     mpmath = pytest.importorskip("mpmath")
     nu = complex(0.0, tau)
     table = _KTable(nu)
     table(np.geomspace(1.0, 400.0, 400))
     zero = [j for j, coef in table._panels.items() if coef.size == 1 and coef[0] == 0.0]
-    assert bool(zero) == (tau <= 100.0)
+    marked = [j for j in table._panels
+              if eisenstein._k_log_bound(nu, 2.0 ** j) < math.log(eisenstein._CHEB_CHOP)]
+    assert zero == marked and bool(zero)
     for j in zero:
         assert 2.0 ** j > tau
         with mpmath.workdps(30):
@@ -665,6 +688,52 @@ def test_balanced_k_route_matches_mpmath(order):
     assert np.max(np.abs(_k_scaled_batch(nu, xs) - want)) <= 5e-14
     if tau >= 8.0:
         assert np.max(np.abs(_KTable(nu)(xs) - want)) <= 5e-14
+
+
+@pytest.mark.parametrize("tau", [8.0, 9.5, 13.0])
+@pytest.mark.parametrize("sig", [0.0, 0.3])
+def test_balanced_k_route_matches_mpmath_at_small_x(tau, sig):
+    """Small x puts the core's end v0 = 2 tau / x far out, where the
+    integrand's factor (1 + v^2)^{-1/2} in v, singular at v = +-i, would
+    cap panels near v = 0 at 12 rad; 20 rad panels in v left 3.3e-10 at
+    tau = 9.5, Re nu = 0.3, x = 0.3.  In s = asinh v the integrand
+    cos(x sinh s) cosh(nu s) is entire, and 24 rad panels keep rounding."""
+    mpmath = pytest.importorskip("mpmath")
+    nu, xs = complex(sig, tau), np.array([0.1, 0.3])
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.exp(mpmath.pi * tau / 2)
+                                 * mpmath.besselk(mpmath.mpc(sig, tau), x)) for x in xs])
+    single = np.concatenate([_k_scaled_batch(nu, xs[i:i + 1]) for i in range(xs.size)])
+    assert np.max(np.abs(single - want)) <= 5e-14
+    assert np.max(np.abs(_k_scaled_batch(nu, xs) - want)) <= 5e-14
+
+
+@pytest.mark.parametrize("tau", [8.0, 13.0, 40.0, 100.0, 180.0])
+def test_k_log_bound_lies_above_mpmath(tau):
+    """The saddle-point bound against 30-digit e^{pi tau/2} |K_nu(x)|, on both
+    sides of the critical line and up to |Re nu| = 1/2, from just past the
+    turning point x = tau.  K_{-nu} = K_nu and K_{conj nu}(x) = conj K_nu(x),
+    so |K_nu(x)| is even in Re nu and one mpmath value serves both signs."""
+    mpmath = pytest.importorskip("mpmath")
+    for sig in (0.0, 0.3, 0.5):
+        for ratio in (1.01, 1.1, 1.5, 2.0, 3.0):
+            x = ratio * tau
+            with mpmath.workdps(30):
+                want = float(mpmath.log(mpmath.exp(mpmath.pi * tau / 2)
+                                        * abs(mpmath.besselk(mpmath.mpc(sig, tau), x))))
+            for nu in (complex(sig, tau), complex(-sig, tau)):
+                assert eisenstein._k_log_bound(nu, x) >= want, (nu, ratio)
+    assert eisenstein._k_log_bound(complex(0.0, tau), tau) == math.inf
+    assert eisenstein._k_log_bound(complex(0.6, tau), 3.0 * tau) == math.inf
+
+
+@pytest.mark.parametrize("nu", [12.5j, 100j, 0.3 + 180j, 0.7 + 40j])
+def test_direct_route_zeroes_exactly_what_the_bound_marks(nu):
+    xs = np.random.default_rng(3).permutation(np.geomspace(0.5, 600.0, 300))
+    marked = eisenstein._k_log_bound(nu, xs) < math.log(eisenstein._CHEB_CHOP)
+    got = _k_scaled_batch(nu, xs)
+    assert np.array_equal(got == 0.0, marked)
+    assert marked.any() == (abs(nu.real) <= 0.5)
 
 
 def test_gamma_factors_report_shape():
